@@ -15,9 +15,8 @@ are implementation surface and may change between releases.
 
 This facade exists because the timeline API grew by accretion — methods
 sprayed across :class:`Tracker` with no single object owning a recording.
-:class:`TimelineView` is that object now; the old ``Tracker.goto`` /
-``Tracker.backward_*`` methods remain as :class:`DeprecationWarning`
-shims.
+:class:`TimelineView` is that object now, and the only home of reverse
+navigation (``tracker.timeline_view().goto(...)``/``backward_*()``).
 """
 
 from __future__ import annotations

@@ -25,14 +25,12 @@ shares one signature, defined here once (backends implement only the
 :attr:`Tracker.default_timeout`); ``record`` overrides the timeline
 recorder for this one pause (``True`` forces a snapshot, ``False``
 suppresses one, ``None`` defers to :meth:`enable_recording`). Both are
-keyword-only; passing ``timeout`` positionally still works through a
-:class:`DeprecationWarning` shim one release long.
+keyword-only.
 """
 
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -197,7 +195,7 @@ class Tracker:
         self._program_args = list(args or [])
         self._load_program(path, self._program_args)
 
-    def start(self, *args: Any, timeout: Optional[float] = None,
+    def start(self, *, timeout: Optional[float] = None,
               record: Optional[bool] = None) -> None:
         """Begin executing the inferior and pause before its first line.
 
@@ -209,7 +207,6 @@ class Tracker:
         paused; :class:`ControlTimeout` is raised only if the interrupt
         fails), ``record`` overrides timeline recording for this pause.
         """
-        timeout = self._keyword_only_timeout("start", args, timeout)
         if self._program is None:
             raise NotStartedError("load_program must be called before start")
         if self._started:
@@ -219,36 +216,34 @@ class Tracker:
             self._start()
         self._after_control(record)
 
-    def resume(self, *args: Any, timeout: Optional[float] = None,
+    def resume(self, *, timeout: Optional[float] = None,
                record: Optional[bool] = None) -> None:
         """Resume until the next control point or termination."""
-        self._control("resume", self._resume, args, timeout, record)
+        self._control("resume", self._resume, timeout, record)
 
-    def next(self, *args: Any, timeout: Optional[float] = None,
+    def next(self, *, timeout: Optional[float] = None,
              record: Optional[bool] = None) -> None:
         """Execute the current line, stepping *over* function calls."""
-        self._control("next", self._next, args, timeout, record)
+        self._control("next", self._next, timeout, record)
 
-    def step(self, *args: Any, timeout: Optional[float] = None,
+    def step(self, *, timeout: Optional[float] = None,
              record: Optional[bool] = None) -> None:
         """Execute the current line, stepping *into* function calls."""
-        self._control("step", self._step, args, timeout, record)
+        self._control("step", self._step, timeout, record)
 
-    def finish(self, *args: Any, timeout: Optional[float] = None,
+    def finish(self, *, timeout: Optional[float] = None,
                record: Optional[bool] = None) -> None:
         """Run until the current function returns (pause at the return)."""
-        self._control("finish", self._finish, args, timeout, record)
+        self._control("finish", self._finish, timeout, record)
 
     def _control(
         self,
         name: str,
         hook: Callable[[], None],
-        args: Tuple[Any, ...],
         timeout: Optional[float],
         record: Optional[bool],
     ) -> None:
-        """One forward control call: shim, rewind routing, hook, record."""
-        timeout = self._keyword_only_timeout(name, args, timeout)
+        """One forward control call: rewind routing, hook, record."""
         if self._replay_cursor is not None:
             # Rewound into history: the call moves through *recorded*
             # pauses until it reaches the newest snapshot, then goes live.
@@ -260,25 +255,6 @@ class Tracker:
         with self._supervised(timeout):
             hook()
         self._after_control(record)
-
-    def _keyword_only_timeout(
-        self, name: str, args: Tuple[Any, ...], timeout: Optional[float]
-    ) -> Optional[float]:
-        """Deprecation shim for the pre-redesign positional ``timeout``."""
-        if not args:
-            return timeout
-        if len(args) > 1 or timeout is not None:
-            raise TypeError(
-                f"{name}() takes no positional arguments beyond the "
-                "deprecated positional timeout"
-            )
-        warnings.warn(
-            f"passing the timeout positionally to {name}() is deprecated; "
-            f"use {name}(timeout=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return args[0]
 
     def _after_control(self, record: Optional[bool]) -> None:
         """Snapshot the pause a control call just returned from."""
@@ -476,9 +452,7 @@ class Tracker:
         ``changes_between``) read the recording — using the record-time
         index when one is maintained — and its navigation calls
         (``goto``, ``backward_*``) move this tracker's time-travel
-        cursor. This is the one object that owns a recording; the old
-        ``Tracker.goto`` / ``Tracker.backward_*`` methods are deprecated
-        shims over it.
+        cursor. This is the one object that owns a recording.
 
         Raises:
             TrackerError: recording was never enabled.
@@ -509,74 +483,6 @@ class Tracker:
         """The recorded timeline, or ``None`` if recording was never on."""
         return self._recorder.timeline if self._recorder is not None else None
 
-    def _deprecated_navigation(self, name: str) -> None:
-        warnings.warn(
-            f"Tracker.{name}() is deprecated; use "
-            f"tracker.timeline_view().{name}() — TimelineView is the one "
-            "object that owns a recording",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def backward_step(self) -> None:
-        """Rewind to the previous recorded pause.
-
-        .. deprecated::
-            Use :meth:`timeline_view` and
-            :meth:`TimelineView.backward_step`; the navigation surface
-            lives on the view that owns the recording.
-
-        Reverse control calls are backend-agnostic: they never touch the
-        (forward-only) inferior but replay the recorded timeline, so they
-        work identically on every backend with recording enabled. While
-        rewound, inspection serves the recorded snapshot and forward
-        control calls move through recorded pauses until they reach the
-        newest snapshot — where the live inferior still sits — and control
-        goes live again.
-
-        Raises:
-            NotPausedError: already at the oldest retained snapshot.
-            TrackerError: recording was never enabled.
-        """
-        self._deprecated_navigation("backward_step")
-        self._backward("step")
-
-    def backward_next(self) -> None:
-        """Rewind to the previous pause at the same depth or shallower.
-
-        .. deprecated:: use ``timeline_view().backward_next()``.
-        """
-        self._deprecated_navigation("backward_next")
-        self._backward("next")
-
-    def backward_finish(self) -> None:
-        """Rewind to the previous pause in a caller (shallower depth).
-
-        .. deprecated:: use ``timeline_view().backward_finish()``.
-        """
-        self._deprecated_navigation("backward_finish")
-        self._backward("finish")
-
-    def backward_resume(self) -> None:
-        """Rewind to the previous control-point pause (breakpoint, watch,
-        tracked call/return), or to the oldest snapshot if none.
-
-        .. deprecated:: use ``timeline_view().backward_resume()``.
-        """
-        self._deprecated_navigation("backward_resume")
-        self._backward("resume")
-
-    def goto(self, index: int) -> StateSnapshot:
-        """Jump to the recorded snapshot at global ``index``.
-
-        .. deprecated:: use ``timeline_view().goto(index)``.
-
-        Negative indexes count from the newest snapshot (``goto(-1)`` is
-        the newest, i.e. back to live). Returns the snapshot landed on.
-        """
-        self._deprecated_navigation("goto")
-        return self._goto(index)
-
     def _goto(self, index: int) -> StateSnapshot:
         """Navigation core behind :meth:`TimelineView.goto`.
 
@@ -596,6 +502,15 @@ class Tracker:
         return timeline.snapshot(index)
 
     def _backward(self, mode: str) -> None:
+        """Navigation core behind :meth:`TimelineView.backward_step` etc.
+
+        Reverse calls never touch the (forward-only) inferior but replay
+        the recorded timeline, so they work identically on every backend
+        with recording enabled. While rewound, inspection serves the
+        recorded snapshot and forward control calls move through
+        recorded pauses until they reach the newest one, where control
+        goes live again.
+        """
         timeline = self._require_timeline()
         current = self._timeline_position()
         if current <= timeline.first_index:

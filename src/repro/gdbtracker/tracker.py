@@ -7,19 +7,21 @@ MI commands. All the client plumbing — supervised calls with deadlines and
 crash recovery, control-point sync, payload ingestion, server-side
 timeline recording — is the shared :class:`repro.mi.remote.MIRemoteTracker`
 base (also used by the subprocess-isolated Python tracker); this class
-adds what is specific to the mini-C / RISC-V substrate. The two GDB gaps
-the paper closes are closed the same way here:
+adds the inspection extensions specific to the mini-C / RISC-V substrate.
+The two GDB gaps the paper closes are closed the same way here:
 
 - **maxdepth** rides along on every breakpoint/watch command (the paper
   adds custom breakpoint commands via a GDB Python extension; our server
   accepts the extension natively);
 - **function-exit tracking**: GDB can break on entry but not exit. For
-  assembly inferiors we use the paper's mechanism literally — disassemble
-  the function, find its return instruction (``ret`` = ``jalr x0, 0(ra)``
-  on RISC-V, standing in for x86 ``retq``), and plant an address breakpoint
-  there; entry/exit pauses are then synthesized client-side from which
-  breakpoint fired. For mini-C inferiors the server's ``-track-function``
-  does the equivalent natively.
+  assembly inferiors the server's ``-track-function`` uses the paper's
+  mechanism literally — disassemble the function, find its return
+  instruction (``ret`` = ``jalr x0, 0(ra)`` on RISC-V, standing in for
+  x86 ``retq``), and plant an address point there; a pause on it is
+  reported as a ``function-exit`` stop record with the callee still the
+  current frame. For mini-C inferiors the same command uses the
+  interpreter's return event. Either way this client sees one record
+  format.
 
 Inspection state (frames, variables, values) is built server-side,
 serialized, piped across, and deserialized here — both sides speak the
@@ -28,13 +30,9 @@ serialized, piped across, and deserialized here — both sides speak the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.core.errors import TrackerError
-from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.supervision import BackoffPolicy
-from repro.core.tracker import TrackedFunction
-from repro.mi.remote import MIRemoteTracker, _maxdepth
+from repro.mi.remote import MIRemoteTracker
 
 
 class GDBTracker(MIRemoteTracker):
@@ -48,86 +46,6 @@ class GDBTracker(MIRemoteTracker):
     """
 
     backend = "GDB"
-
-    def __init__(
-        self,
-        restart_policy: Optional[BackoffPolicy] = None,
-        transport_factory: Optional[Callable[[], Any]] = None,
-    ) -> None:
-        super().__init__(
-            restart_policy=restart_policy, transport_factory=transport_factory
-        )
-        #: bkptno -> function, for exit breakpoints planted by the ret-scan
-        self._exit_breakpoints: Dict[int, str] = {}
-        #: bkptno -> function, for the matching entry breakpoints
-        self._entry_breakpoints: Dict[int, str] = {}
-        self._is_assembly = False
-
-    def _load_program(self, path: str, args: List[str]) -> None:
-        self._is_assembly = path.endswith((".s", ".S", ".asm"))
-        super()._load_program(path, args)
-
-    # ------------------------------------------------------------------
-    # Substrate hooks (see MIRemoteTracker)
-    # ------------------------------------------------------------------
-
-    def _reset_backend_state(self) -> None:
-        self._exit_breakpoints.clear()
-        self._entry_breakpoints.clear()
-
-    def _install_tracked(self, point: TrackedFunction) -> None:
-        if self._is_assembly:
-            self._track_function_via_ret_scan(point.function, point.maxdepth)
-        else:
-            super()._install_tracked(point)
-
-    def _map_breakpoint_pause(
-        self, payload: Dict[str, Any], line: Optional[int]
-    ) -> Optional[PauseReason]:
-        """Synthesize entry/exit pauses from ret-scan breakpoint numbers."""
-        number = payload.get("bkptno")
-        if number in self._exit_breakpoints:
-            return PauseReason(
-                type=PauseReasonType.RETURN,
-                function=self._exit_breakpoints[number],
-                line=line,
-            )
-        if number in self._entry_breakpoints:
-            return PauseReason(
-                type=PauseReasonType.CALL,
-                function=self._entry_breakpoints[number],
-                line=line,
-            )
-        return None
-
-    def _track_function_via_ret_scan(
-        self, function: str, maxdepth: Optional[int]
-    ) -> None:
-        """The paper's retq-scan, retargeted to RISC-V.
-
-        Disassemble the function, find its return instruction(s), and plant
-        address breakpoints there plus an entry breakpoint at the function.
-        Works whenever the compiler/author used the common single-epilogue
-        layout; multiple ``ret`` sites each get their own breakpoint.
-        """
-        listing = self._client.execute("-data-disassemble", [function])
-        returns = [entry for entry in listing if entry["is_return"]]
-        if not returns:
-            raise TrackerError(
-                f"no return instruction found in {function!r}; "
-                "cannot track its exit"
-            )
-        entry = self._client.execute(
-            "-break-insert", [function], _maxdepth(maxdepth)
-        )
-        self._entry_breakpoints[entry["number"]] = function
-        for site in returns:
-            planted = self._client.execute(
-                "-break-insert",
-                [f"*{site['address']:#x}"],
-                _maxdepth(maxdepth),
-            )
-            self._exit_breakpoints[planted["number"]] = function
 
     # ------------------------------------------------------------------
     # GDB-tracker-specific extensions (named as in the paper)

@@ -25,7 +25,7 @@ from repro.minic.events import Event
 from repro.minic.interpreter import Interpreter
 from repro.minic.parser import parse
 from repro.riscv.assembler import assemble
-from repro.riscv.machine import Machine
+from repro.riscv.machine import Machine, _signed32
 from repro.mi.staterender import CStateRenderer, render_watch
 
 
@@ -33,6 +33,10 @@ class InferiorAdapter:
     """What the debug server needs from any inferior backend."""
 
     filename: str = ""
+    #: Whether function exits are found by the ret-scan (an address point
+    #: on each return instruction) rather than the return event, which
+    #: this substrate emits only after the callee's frame is popped.
+    ret_scan = False
 
     def events(self) -> Iterator[Event]:
         raise NotImplementedError
@@ -56,6 +60,10 @@ class InferiorAdapter:
         raise NotImplementedError
 
     def current_pc(self) -> Optional[int]:
+        return None
+
+    def return_value(self) -> Optional[str]:
+        """The rendered value a return instruction here would return."""
         return None
 
     def function_names(self) -> List[str]:
@@ -129,6 +137,8 @@ class MinicInferior(InferiorAdapter):
 
 class RiscvInferior(InferiorAdapter):
     """A RISC-V assembly program under the machine simulator."""
+
+    ret_scan = True
 
     def __init__(self, path: str, args: Optional[List[str]] = None):
         with open(path, "r", encoding="utf-8") as source:
@@ -239,6 +249,9 @@ class RiscvInferior(InferiorAdapter):
 
     def current_pc(self) -> Optional[int]:
         return self.machine.pc
+
+    def return_value(self) -> Optional[str]:
+        return str(_signed32(self.machine.registers[10]))  # a0
 
     def function_names(self) -> List[str]:
         return [label for _, label in self.program.text_labels]

@@ -4,12 +4,12 @@ Two trackers drive a debug-server subprocess over the MI pipe: the GDB
 tracker (mini-C / RISC-V inferiors) and the subprocess-isolated Python
 tracker. Their client logic is identical — supervised command execution
 with deadlines and crash recovery, incremental control-point sync,
-``*stopped`` payload ingestion, serialized-state inspection, and the
-server-side ``-timeline-*`` recording family — so it lives here once, in
-:class:`MIRemoteTracker`. Subclasses override small hooks where the
-substrates genuinely differ (how a tracked function is installed, how a
-breakpoint number maps back to a pause reason, how a return value is
-decoded).
+``*stopped`` payload ingestion (through the shared stop-record codec,
+:func:`repro.mi.servercore.reason_from_stop`), serialized-state
+inspection, and the server-side ``-timeline-*`` recording family — so it
+lives here once, in :class:`MIRemoteTracker`. Subclasses override small
+hooks where the substrates genuinely differ (which server to spawn, what
+a server crash during run control means).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.errors import (
     ProtocolError,
     TrackerError,
 )
-from repro.core.pause import PauseReason, PauseReasonType
 from repro.core.state import (
     Frame,
     Variable,
@@ -48,6 +47,7 @@ from repro.core.tracker import (
     Watchpoint,
 )
 from repro.mi.client import MIClient
+from repro.mi.servercore import reason_from_stop
 
 
 class MIRemoteTracker(Tracker):
@@ -105,28 +105,6 @@ class MIRemoteTracker(Tracker):
         ``python -m repro.mi.server`` subprocess.
         """
         return self._transport_factory
-
-    def _install_tracked(self, point: TrackedFunction) -> None:
-        """Install one tracked function on the server."""
-        self._client.execute(
-            "-track-function", [point.function], _maxdepth(point.maxdepth)
-        )
-
-    def _map_breakpoint_pause(
-        self, payload: Dict[str, Any], line: Optional[int]
-    ) -> Optional[PauseReason]:
-        """Substrate-specific mapping of a ``breakpoint-hit`` payload.
-
-        Return ``None`` to fall through to the generic BREAKPOINT reason.
-        """
-        return None
-
-    def _decode_retval(self, payload: Dict[str, Any]) -> Any:
-        """Decode a ``function-exit`` payload's serialized return value."""
-        return payload.get("retval")
-
-    def _reset_backend_state(self) -> None:
-        """Clear substrate bookkeeping invalidated by a restart/clear."""
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -260,7 +238,6 @@ class MIRemoteTracker(Tracker):
             deadline=self._attempt_deadline(),
         )
         self._filename = loaded["file"] if loaded else self._program
-        self._reset_backend_state()
         self.engine.reset_sync()
         self._sync_control_points()
         # Re-launch only an inferior that had fully launched; a crash
@@ -299,7 +276,6 @@ class MIRemoteTracker(Tracker):
     def clear_control_points(self) -> None:
         """Remove every control point, server side included."""
         super().clear_control_points()
-        self._reset_backend_state()
         if self._client is not None:
             self._execute("-break-delete", ["all"])
 
@@ -337,7 +313,11 @@ class MIRemoteTracker(Tracker):
                     _maxdepth(point.maxdepth),
                 )
             elif isinstance(point, TrackedFunction):
-                self._install_tracked(point)
+                self._client.execute(
+                    "-track-function",
+                    [point.function],
+                    _maxdepth(point.maxdepth),
+                )
 
     # ------------------------------------------------------------------
     # Stopped-payload ingestion
@@ -345,73 +325,14 @@ class MIRemoteTracker(Tracker):
 
     def _ingest(self, payload: Dict[str, Any]) -> None:
         self._timeline_dirty = True
-        reason = payload.get("reason")
         line = payload.get("line")
         if line is not None:
             self.last_lineno = self.next_lineno
             self.next_lineno = line
-        if reason == "exited":
+        if payload.get("reason") == "exited":
             self._exit_code = payload.get("exitcode", 0)
-            self._pause_reason = PauseReason(type=PauseReasonType.EXIT)
             self.exit_error = payload.get("error")
-            return
-        if reason == "interrupted":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.INTERRUPT, line=line
-            ))
-            return
-        if reason == "deadlock-suspected":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.DEADLOCK_SUSPECTED,
-                line=line,
-                details=payload.get("deadlock"),
-            ))
-            return
-        if reason == "watchpoint-trigger":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.WATCH,
-                variable=payload.get("var"),
-                old_value=payload.get("old"),
-                new_value=payload.get("new"),
-                line=line,
-            ))
-            return
-        if reason == "function-entry":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.CALL,
-                function=payload.get("func"),
-                line=line,
-            ))
-            return
-        if reason == "function-exit":
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.RETURN,
-                function=payload.get("func"),
-                return_value=self._decode_retval(payload),
-                line=line,
-            ))
-            return
-        if reason == "breakpoint-hit":
-            mapped = self._map_breakpoint_pause(payload, line)
-            if mapped is not None:
-                self._pause_reason = self._with_thread(payload, mapped)
-                return
-            self._pause_reason = self._with_thread(payload, PauseReason(
-                type=PauseReasonType.BREAKPOINT,
-                function=payload.get("func"),
-                line=line,
-            ))
-            return
-        self._pause_reason = self._with_thread(
-            payload, PauseReason(type=PauseReasonType.STEP, line=line)
-        )
-
-    @staticmethod
-    def _with_thread(payload: Dict[str, Any], reason: PauseReason) -> PauseReason:
-        """Stamp a decoded pause with the stop payload's thread fields."""
-        reason.thread = payload.get("thread")
-        reason.thread_name = payload.get("thread-name")
-        return reason
+        self._pause_reason = reason_from_stop(payload)
 
     # ------------------------------------------------------------------
     # Inspection

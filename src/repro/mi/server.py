@@ -6,6 +6,13 @@ RISC-V inferior through its event generator and implements all run control:
 line/function/address breakpoints with the ``maxdepth`` extension, byte-
 level watchpoints, function entry/exit tracking, and step/next/finish.
 
+Function-exit tracking on RISC-V inferiors is the paper's ret-scan
+(Section II-C1): ``-track-function`` disassembles the function, plants an
+address point on each return instruction, and reports a pause there as
+``function-exit`` (``a0`` as the return value), so the callee is still the
+current frame — exactly the record the mini-C path emits from its native
+return event.
+
 The protocol-side plumbing (dispatch, interrupt flag, control-point
 numbering, the stdio loop) lives in :mod:`repro.mi.servercore`, shared
 with the out-of-process Python server (:mod:`repro.subproc.server`); this
@@ -18,11 +25,12 @@ whole server is unit-testable without pipes; ``main`` adds the stdio loop.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.engine import AddressBreakpoint, ControlPointEngine
 from repro.core.errors import ProgramLoadError, TrackerError
-from repro.core.pause import PauseReason, PauseReasonType
+from repro.core.pause import PauseReasonType
 from repro.core.state import frame_to_dict, variable_to_dict
 from repro.core.timeline import (
     EVENT_CALL,
@@ -51,19 +59,22 @@ from repro.mi import protocol
 from repro.mi.inferiors import InferiorAdapter, open_inferior
 from repro.mi.servercore import (
     REASON_TYPES,
-    LineChannel,
     ServerCore,
+    reason_from_stop,
     serve_stdio,
 )
-
-#: Backwards-compatible aliases (pre-refactor import sites).
-_REASON_TYPES = REASON_TYPES
-_LineChannel = LineChannel
 
 #: How many inferior events run between two interrupt-poll callbacks.
 #: The flag itself is checked on every event; the poll (a select() on
 #: stdin) is the expensive part worth batching.
 _INTERRUPT_POLL_EVERY = 128
+
+
+@dataclass
+class _ExitPoint(AddressBreakpoint):
+    """A ret-scan address point: pausing here is ``function``'s exit."""
+
+    function: str = ""
 
 
 class DebugServer(ServerCore):
@@ -189,12 +200,33 @@ class DebugServer(ServerCore):
     def _cmd_track_function(self, command) -> List[str]:
         if not command.args:
             return [protocol.format_error("track-function needs a name")]
-        tracked = TrackedFunction(
-            function=command.args[0],
-            maxdepth=command.option_int("maxdepth"),
-        )
+        function = command.args[0]
+        maxdepth = command.option_int("maxdepth")
+        exits: List[_ExitPoint] = []
+        if self.inferior.ret_scan:
+            exits = [
+                _ExitPoint(
+                    address=site["address"], maxdepth=maxdepth, function=function
+                )
+                for site in self.inferior.disassemble(function)
+                if site["is_return"]
+            ]
+            if not exits:
+                return [
+                    protocol.format_error(
+                        f"no return instruction found in {function!r}; "
+                        "cannot track its exit"
+                    )
+                ]
+        tracked = TrackedFunction(function=function, maxdepth=maxdepth)
         self.engine.tracked_functions.append(tracked)
-        return [protocol.format_done({"number": self._register(tracked)})]
+        number = self._register(tracked)
+        # The exit points share the tracked function's number, so
+        # enable/disable/delete address all of them at once.
+        for point in exits:
+            point.number = number
+        self.engine.address_breakpoints.extend(exits)
+        return [protocol.format_done({"number": number})]
 
     # -- inspection --------------------------------------------------------
 
@@ -351,7 +383,7 @@ class DebugServer(ServerCore):
         self, records: List[str], reason: Dict[str, Any]
     ) -> List[str]:
         self.engine.record_pause(
-            _REASON_TYPES.get(reason.get("reason"), reason.get("reason"))
+            REASON_TYPES.get(reason.get("reason"), reason.get("reason"))
         )
         self._last_stop = reason
         self._record_snapshot(reason)
@@ -400,7 +432,11 @@ class DebugServer(ServerCore):
     def _check_return(self, event: ReturnEvent) -> Optional[Dict[str, Any]]:
         engine = self.engine
         engine.note_event("return")
-        if not engine.may_match_function(event.function):
+        # A ret-scan substrate reports exits from its return instructions
+        # instead: this event fires after the callee's frame is gone.
+        if self.inferior.ret_scan or not engine.may_match_function(
+            event.function
+        ):
             return None
         if engine.match_tracked(event.function, event.depth) is not None:
             return {
@@ -455,6 +491,15 @@ class DebugServer(ServerCore):
         if engine.has_address_breakpoints:
             pc = self.inferior.current_pc()
             matched = engine.match_address(pc, event.depth)
+            if isinstance(matched, _ExitPoint):
+                self._event_kind = EVENT_RETURN
+                return {
+                    "reason": "function-exit",
+                    "func": matched.function,
+                    "line": event.line,
+                    "depth": event.depth,
+                    "retval": self.inferior.return_value(),
+                }
             if matched is not None:
                 return {
                     "reason": "breakpoint-hit",
@@ -480,16 +525,17 @@ class DebugServer(ServerCore):
     # Timeline recording: the server-side half of time travel
     # ------------------------------------------------------------------
 
-    def _cmd_timeline_start(self, command) -> List[str]:
-        interval = command.option_int("keyframe-interval")
+    def _start_recording(
+        self, keyframe_interval: int, max_snapshots: Optional[int]
+    ) -> None:
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 source = handle.read()
         except OSError:
             source = ""
         self._timeline = Timeline(
-            keyframe_interval=interval if interval is not None else 16,
-            max_snapshots=command.option_int("max-snapshots"),
+            keyframe_interval=keyframe_interval,
+            max_snapshots=max_snapshots,
             program=self.path,
             source=source,
             backend="GDB",
@@ -498,54 +544,18 @@ class DebugServer(ServerCore):
         if self._running and self._last_stop is not None and not self._exited:
             # Already paused mid-run: the current state opens the timeline.
             self._record_snapshot(self._last_stop)
-        return [protocol.format_done({"recording": True})]
 
-    def _cmd_timeline_stop(self, command) -> List[str]:
+    def _stop_recording(self) -> None:
         self._recording = False
-        return [protocol.format_done({"recording": False})]
 
-    def _cmd_timeline_length(self, command) -> List[str]:
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                {
-                    "length": len(timeline),
-                    "start": timeline.start_index,
-                    "retained": timeline.retained,
-                }
-            )
-        ]
-
-    def _cmd_timeline_dump(self, command) -> List[str]:
-        return [protocol.format_done(self._require_timeline().to_dict())]
-
-    def _cmd_timeline_snapshot(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("timeline-snapshot needs an index")]
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                timeline.snapshot(int(command.args[0])).to_dict()
-            )
-        ]
-
-    def _cmd_timeline_drop_last(self, command) -> List[str]:
-        return [
-            protocol.format_done(
-                {"dropped": self._require_timeline().drop_last()}
-            )
-        ]
-
-    def _require_timeline(self) -> Timeline:
-        if self._timeline is None:
-            raise TrackerError("no timeline; send -timeline-start first")
+    def _recorded_timeline(self) -> Optional[Timeline]:
         return self._timeline
 
     def _record_snapshot(self, reason: Dict[str, Any]) -> None:
         if self._timeline is None or not self._recording:
             return
-        kind = reason.get("reason")
-        if kind == "exited":
+        decoded = reason_from_stop(reason)
+        if decoded.type is PauseReasonType.EXIT:
             self._timeline.append(
                 StateSnapshot(
                     frame=None,
@@ -555,7 +565,7 @@ class DebugServer(ServerCore):
                     depth=0,
                     stdout=self._stdout,
                     exit_code=reason.get("exitcode", 0),
-                    reason=PauseReason(type=PauseReasonType.EXIT),
+                    reason=decoded,
                     event=EVENT_EXIT,
                 )
             )
@@ -571,48 +581,11 @@ class DebugServer(ServerCore):
                 depth=reason.get("depth", self._depth),
                 stdout=self._stdout,
                 exit_code=None,
-                reason=self._snapshot_reason(kind, reason, line),
+                reason=decoded,
                 event=self._event_kind,
                 func_name=reason.get("func") or self._func or frame.name,
             )
         )
-
-    def _snapshot_reason(
-        self, kind: Optional[str], reason: Dict[str, Any], line: Optional[int]
-    ) -> PauseReason:
-        """The pause reason as the *client* would build it from the stop
-        payload (mirrors ``GDBTracker._ingest``), so recorded snapshots
-        look the same whether the recorder ran client- or server-side."""
-        if kind == "interrupted":
-            return PauseReason(type=PauseReasonType.INTERRUPT, line=line)
-        if kind == "watchpoint-trigger":
-            return PauseReason(
-                type=PauseReasonType.WATCH,
-                variable=reason.get("var"),
-                old_value=reason.get("old"),
-                new_value=reason.get("new"),
-                line=line,
-            )
-        if kind == "function-entry":
-            return PauseReason(
-                type=PauseReasonType.CALL,
-                function=reason.get("func"),
-                line=line,
-            )
-        if kind == "function-exit":
-            return PauseReason(
-                type=PauseReasonType.RETURN,
-                function=reason.get("func"),
-                return_value=reason.get("retval"),
-                line=line,
-            )
-        if kind == "breakpoint-hit":
-            return PauseReason(
-                type=PauseReasonType.BREAKPOINT,
-                function=reason.get("func"),
-                line=line,
-            )
-        return PauseReason(type=PauseReasonType.STEP, line=line)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

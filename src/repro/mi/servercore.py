@@ -7,13 +7,19 @@ child interpreter (:mod:`repro.subproc.server`). Everything that is about
 *being an MI server* rather than about a particular inferior substrate
 lives here:
 
+- the stop-record codec: :func:`reason_from_stop` (``*stopped`` payload
+  to :class:`PauseReason`, used by every MI client and by the server's
+  own recorder) and :func:`stop_from_reason` (the inverse, used by the
+  server hosting a client-style tracker), so a recorded pause and a live
+  one are decoded by the same code;
 - :class:`ServerCore` — command dispatch (``-name`` to ``_cmd_name``),
   defensive error translation (a handler bug becomes an ``^error`` record,
   never a dead pipe), session-id echo (a command prefixed ``s1-...`` gets
   every reply record prefixed ``s1``, the multiplexed-session framing; an
   id-less command stays id-less, preserving wire compatibility with
-  legacy clients), the async-interrupt flag, and the control-point number
-  registry shared by enable/disable/delete;
+  legacy clients), the async-interrupt flag, the control-point number
+  registry shared by enable/disable/delete, and the ``-timeline-*``
+  recording family over a recorder each server supplies;
 - :class:`LineChannel` — exact, pollable line reads over a raw fd, which
   is what lets a busy run loop notice an ``-exec-interrupt`` arriving
   mid-run, including *sleeping* waits (``select`` with a timeout) so a
@@ -38,10 +44,11 @@ import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ProgramLoadError, ProtocolError, TrackerError
-from repro.core.pause import PauseReasonType
+from repro.core.pause import PauseReason, PauseReasonType
+from repro.core.state import Value, value_from_dict, value_to_dict
 from repro.mi import protocol
 
-#: MI stop-reason strings -> core pause-reason types (for the stats layer).
+#: MI stop-reason strings -> core pause-reason types.
 REASON_TYPES = {
     "breakpoint-hit": PauseReasonType.BREAKPOINT,
     "function-entry": PauseReasonType.CALL,
@@ -57,15 +64,85 @@ REASON_TYPES = {
 #: client-style :class:`PauseReason` (the subprocess Python server).
 REASON_NAMES = {reason: name for name, reason in REASON_TYPES.items()}
 
+#: Stop reasons whose payload names the function (``func``) it is about.
+_FUNCTION_REASONS = ("breakpoint-hit", "function-entry", "function-exit")
+
+
+def reason_from_stop(payload: Dict[str, Any]) -> PauseReason:
+    """Decode a ``*stopped`` payload into the pause reason it reports.
+
+    Unknown reasons decode as ``STEP``; every non-exit pause is stamped
+    with the payload's ``thread``/``thread-name``; a ``retval`` that
+    crossed the pipe as a serialized ``Value`` dict is rebuilt.
+    """
+    kind = payload.get("reason")
+    if kind == "exited":
+        return PauseReason(type=PauseReasonType.EXIT)
+    reason = PauseReason(
+        type=REASON_TYPES.get(kind, PauseReasonType.STEP),
+        line=payload.get("line"),
+        thread=payload.get("thread"),
+        thread_name=payload.get("thread-name"),
+    )
+    if kind in _FUNCTION_REASONS:
+        reason.function = payload.get("func")
+    if kind == "function-exit":
+        retval = payload.get("retval")
+        if isinstance(retval, dict) and "abstract_type" in retval:
+            retval = value_from_dict(retval)
+        reason.return_value = retval
+    elif kind == "watchpoint-trigger":
+        reason.variable = payload.get("var")
+        reason.old_value = payload.get("old")
+        reason.new_value = payload.get("new")
+    elif kind == "deadlock-suspected":
+        reason.details = payload.get("deadlock")
+    return reason
+
+
+def stop_from_reason(
+    reason: PauseReason, line: Optional[int], depth: int
+) -> Dict[str, Any]:
+    """Encode a (non-exit) pause reason as a ``*stopped`` payload.
+
+    ``line`` stands in when the reason carries none; a ``Value`` return
+    value is serialized so :func:`reason_from_stop` can rebuild it.
+    """
+    payload: Dict[str, Any] = {
+        "reason": REASON_NAMES.get(reason.type, "end-stepping-range"),
+        "line": reason.line if reason.line is not None else line,
+        "depth": depth,
+    }
+    if reason.function is not None:
+        payload["func"] = reason.function
+    if reason.thread is not None:
+        payload["thread"] = reason.thread
+    if reason.thread_name:
+        payload["thread-name"] = reason.thread_name
+    if reason.type is PauseReasonType.DEADLOCK_SUSPECTED:
+        payload["deadlock"] = reason.details or {}
+    if reason.type is PauseReasonType.WATCH:
+        payload["var"] = reason.variable
+        payload["old"] = reason.old_value
+        payload["new"] = reason.new_value
+    if reason.type is PauseReasonType.RETURN:
+        value = reason.return_value
+        payload["retval"] = (
+            value_to_dict(value) if isinstance(value, Value) else value
+        )
+    return payload
+
 
 class ServerCore:
     """Dispatch and bookkeeping common to every MI debug server.
 
     Subclasses provide ``_cmd_<name>`` handlers (dashes in the MI command
-    name map to underscores) and an ``engine``
+    name map to underscores), an ``engine``
     (:class:`repro.core.engine.ControlPointEngine`) holding the
-    control-point registries; this base owns the MI ``number`` assignment
-    and the number-addressed enable/disable/delete commands.
+    control-point registries, and a recorder (``_start_recording``,
+    ``_stop_recording``, ``_recorded_timeline``); this base owns the MI
+    ``number`` assignment, the number-addressed enable/disable/delete
+    commands and the ``-timeline-*`` family.
     """
 
     def __init__(self) -> None:
@@ -176,20 +253,93 @@ class ServerCore:
         return self._set_enabled(command, True)
 
     def _set_enabled(self, command, enabled: bool) -> List[str]:
+        # One number may address several points (a ret-scan tracked
+        # function and its exit points), so every match is updated.
         number = int(command.args[0])
+        found = False
         for point in self.engine.all_points():
             if getattr(point, "number", None) == number:
                 point.enabled = enabled
-                return [protocol.format_done()]
-        return [protocol.format_error(f"no control point {number}")]
+                found = True
+        if not found:
+            return [protocol.format_error(f"no control point {number}")]
+        return [protocol.format_done()]
 
     def _cmd_tracker_stats(self, command) -> List[str]:
         return [protocol.format_done(self.engine.stats.to_dict())]
 
+    # ------------------------------------------------------------------
+    # Timeline recording: the server-side half of time travel
+    # ------------------------------------------------------------------
+
+    def _start_recording(
+        self, keyframe_interval: int, max_snapshots: Optional[int]
+    ) -> None:
+        """Begin capturing a snapshot at every ``*stopped`` record."""
+        raise NotImplementedError
+
+    def _stop_recording(self) -> None:
+        """Stop capturing; the timeline so far stays readable."""
+        raise NotImplementedError
+
+    def _recorded_timeline(self) -> Optional[Any]:
+        """The current :class:`repro.core.timeline.Timeline`, if any."""
+        raise NotImplementedError
+
+    def _require_timeline(self) -> Any:
+        timeline = self._recorded_timeline()
+        if timeline is None:
+            raise TrackerError("no timeline; send -timeline-start first")
+        return timeline
+
+    def _cmd_timeline_start(self, command) -> List[str]:
+        interval = command.option_int("keyframe-interval")
+        self._start_recording(
+            interval if interval is not None else 16,
+            command.option_int("max-snapshots"),
+        )
+        return [protocol.format_done({"recording": True})]
+
+    def _cmd_timeline_stop(self, command) -> List[str]:
+        self._stop_recording()
+        return [protocol.format_done({"recording": False})]
+
+    def _cmd_timeline_length(self, command) -> List[str]:
+        timeline = self._require_timeline()
+        return [
+            protocol.format_done(
+                {
+                    "length": len(timeline),
+                    "start": timeline.start_index,
+                    "retained": timeline.retained,
+                }
+            )
+        ]
+
+    def _cmd_timeline_dump(self, command) -> List[str]:
+        return [protocol.format_done(self._require_timeline().to_dict())]
+
+    def _cmd_timeline_snapshot(self, command) -> List[str]:
+        if not command.args:
+            return [protocol.format_error("timeline-snapshot needs an index")]
+        timeline = self._require_timeline()
+        return [
+            protocol.format_done(
+                timeline.snapshot(int(command.args[0])).to_dict()
+            )
+        ]
+
+    def _cmd_timeline_drop_last(self, command) -> List[str]:
+        return [
+            protocol.format_done(
+                {"dropped": self._require_timeline().drop_last()}
+            )
+        ]
+
     def _cmd_timeline_query(self, command) -> List[str]:
         """Run a trace query (``x changed``, ``f() == v``, ``len(x) > n``)
         against the server-side timeline, so the recording never crosses
-        the pipe. Both concrete servers provide ``_require_timeline``.
+        the pipe.
         """
         from repro.core.tracestore import TimelineView
 

@@ -37,11 +37,11 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional
 
-from repro.core.errors import ProgramLoadError, TrackerError
+from repro.core.errors import ProgramLoadError
 from repro.core.pause import PauseReason, PauseReasonType
-from repro.core.state import Value, frame_to_dict, value_to_dict, variable_to_dict
+from repro.core.state import frame_to_dict, variable_to_dict
 from repro.mi import protocol
-from repro.mi.servercore import REASON_NAMES, ServerCore, serve_stdio
+from repro.mi.servercore import ServerCore, serve_stdio, stop_from_reason
 from repro.pytracker.tracker import PythonTracker
 from repro.subproc.limits import ResourceLimits
 
@@ -301,32 +301,10 @@ class PythonDebugServer(ServerCore):
             if error is not None:
                 payload["error"] = f"{type(error).__name__}: {error}"
             return payload
-        reason = tracker.pause_reason or PauseReason(
-            type=PauseReasonType.STEP, line=tracker.next_lineno
+        reason = tracker.pause_reason or PauseReason(type=PauseReasonType.STEP)
+        return stop_from_reason(
+            reason, tracker.next_lineno, tracker._current_depth()
         )
-        payload = {
-            "reason": REASON_NAMES.get(reason.type, "end-stepping-range"),
-            "line": reason.line if reason.line is not None else tracker.next_lineno,
-            "depth": tracker._current_depth(),
-        }
-        if reason.function is not None:
-            payload["func"] = reason.function
-        if reason.thread is not None:
-            payload["thread"] = reason.thread
-        if reason.thread_name:
-            payload["thread-name"] = reason.thread_name
-        if reason.type is PauseReasonType.DEADLOCK_SUSPECTED:
-            payload["deadlock"] = reason.details or {}
-        if reason.type is PauseReasonType.WATCH:
-            payload["var"] = reason.variable
-            payload["old"] = reason.old_value
-            payload["new"] = reason.new_value
-        if reason.type is PauseReasonType.RETURN:
-            value = reason.return_value
-            payload["retval"] = (
-                value_to_dict(value) if isinstance(value, Value) else value
-            )
-        return payload
 
     # ------------------------------------------------------------------
     # Control points (over the tracker's public API)
@@ -425,55 +403,18 @@ class PythonDebugServer(ServerCore):
     # Timeline recording: the tracker's own recorder, server-side
     # ------------------------------------------------------------------
 
-    def _cmd_timeline_start(self, command) -> List[str]:
-        interval = command.option_int("keyframe-interval")
+    def _start_recording(
+        self, keyframe_interval: int, max_snapshots: Optional[int]
+    ) -> None:
         self.tracker.enable_recording(
-            keyframe_interval=interval if interval is not None else 16,
-            max_snapshots=command.option_int("max-snapshots"),
+            keyframe_interval=keyframe_interval, max_snapshots=max_snapshots
         )
-        return [protocol.format_done({"recording": True})]
 
-    def _cmd_timeline_stop(self, command) -> List[str]:
+    def _stop_recording(self) -> None:
         self.tracker.disable_recording()
-        return [protocol.format_done({"recording": False})]
 
-    def _cmd_timeline_length(self, command) -> List[str]:
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                {
-                    "length": len(timeline),
-                    "start": timeline.start_index,
-                    "retained": timeline.retained,
-                }
-            )
-        ]
-
-    def _cmd_timeline_dump(self, command) -> List[str]:
-        return [protocol.format_done(self._require_timeline().to_dict())]
-
-    def _cmd_timeline_snapshot(self, command) -> List[str]:
-        if not command.args:
-            return [protocol.format_error("timeline-snapshot needs an index")]
-        timeline = self._require_timeline()
-        return [
-            protocol.format_done(
-                timeline.snapshot(int(command.args[0])).to_dict()
-            )
-        ]
-
-    def _cmd_timeline_drop_last(self, command) -> List[str]:
-        return [
-            protocol.format_done(
-                {"dropped": self._require_timeline().drop_last()}
-            )
-        ]
-
-    def _require_timeline(self):
-        timeline = self.tracker.timeline
-        if timeline is None:
-            raise TrackerError("no timeline; send -timeline-start first")
-        return timeline
+    def _recorded_timeline(self):
+        return self.tracker.timeline
 
 
 def _function_names(code, _names: Optional[List[str]] = None) -> List[str]:

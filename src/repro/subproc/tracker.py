@@ -32,7 +32,6 @@ import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import ControlTimeout, ServerCrashError
-from repro.core.state import value_from_dict
 from repro.core.supervision import (
     INFERIOR_PROCESS_DIED,
     BackoffPolicy,
@@ -99,13 +98,6 @@ class SubprocPythonTracker(MIRemoteTracker):
             + list(args)
         )
         return lambda: PipeTransport(argv)
-
-    def _decode_retval(self, payload: Dict[str, Any]) -> Any:
-        """Return values cross the pipe as serialized ``Value`` dicts."""
-        retval = payload.get("retval")
-        if isinstance(retval, dict) and "abstract_type" in retval:
-            return value_from_dict(retval)
-        return retval
 
     def _dispatch_run_control(self, name: str) -> Dict[str, Any]:
         """Run control where a server crash means the *inferior* died.

@@ -374,6 +374,35 @@ class TestAssemblyInferior:
         assert payload["reason"] == "breakpoint-hit"
         assert payload["pc"] == ret_address
 
+    def test_track_function_runs_the_ret_scan(self, asm_server):
+        number = records(asm_server.handle("-track-function add2"))[0].payload[
+            "number"
+        ]
+        asm_server.handle("-exec-run")
+        entry = last_stopped(asm_server.handle("-exec-continue"))
+        assert (entry["reason"], entry["func"]) == ("function-entry", "add2")
+        exit_ = last_stopped(asm_server.handle("-exec-continue"))
+        assert exit_ == {
+            "reason": "function-exit", "func": "add2", "line": 9,
+            "depth": 1, "retval": "12",
+        }
+        frame = records(asm_server.handle("-stack-list-frames"))[0].payload
+        assert frame["name"] == "add2"
+        # The exit points share the tracked function's number.
+        asm_server.handle(f"-break-disable {number}")
+        assert last_stopped(asm_server.handle("-exec-continue"))["reason"] == (
+            "exited"
+        )
+
+    def test_track_function_without_ret_is_an_error(self, write_program):
+        server = make_server(
+            write_program, "main:\n  j spin\nspin:\n  li a7, 93\n  ecall\n",
+            "noret.s",
+        )
+        record = records(server.handle("-track-function spin"))[0]
+        assert record.kind == "error"
+        assert "no return instruction" in record.payload
+
     def test_watch_register(self, asm_server):
         asm_server.handle("-break-watch t0")
         asm_server.handle("-exec-run")

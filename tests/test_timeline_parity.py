@@ -181,10 +181,10 @@ def test_reverse_navigation_parity(tmp_path):
         rewound = {"python": [], "minic": []}
         for name, tracker in (("python", python), ("minic", minic)):
             for _ in range(tracker.timeline.retained - 1):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
                 rewound[name].append(_normalize(tracker.snapshot()))
             with pytest.raises(NotPausedError):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
         assert rewound["python"] == rewound["minic"]
     finally:
         python.terminate()
@@ -198,14 +198,14 @@ def test_goto_and_backward_resume_on_minic(tmp_path):
         timeline = tracker.timeline
         assert tracker.get_exit_code() is not None
         # Jump to the first breakpoint hit; inspection serves history.
-        landed = tracker.goto(timeline.start_index + 1)
+        landed = tracker.timeline_view().goto(timeline.start_index + 1)
         assert landed.reason.type is PauseReasonType.BREAKPOINT
         assert tracker.get_position()[1] == 2
         variable = tracker.get_variable("x") or tracker.get_variable("n")
         assert variable is not None
         # backward_resume from live lands on the last breakpoint hit.
-        tracker.goto(-1)
-        tracker.backward_resume()
+        tracker.timeline_view().goto(-1)
+        tracker.timeline_view().backward_resume()
         assert tracker.snapshot().reason.type is PauseReasonType.BREAKPOINT
         assert tracker.snapshot().depth == 4
     finally:
@@ -233,10 +233,10 @@ def test_reverse_navigation_parity_on_subproc(tmp_path):
         rewound = {"python": [], "subproc": []}
         for name, tracker in (("python", python), ("subproc", subproc)):
             for _ in range(tracker.timeline.retained - 1):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
                 rewound[name].append(_normalize(tracker.snapshot()))
             with pytest.raises(NotPausedError):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
         assert rewound["python"] == rewound["subproc"]
     finally:
         python.terminate()
@@ -249,13 +249,13 @@ def test_goto_and_backward_resume_on_subproc(tmp_path):
     try:
         timeline = tracker.timeline
         assert tracker.get_exit_code() is not None
-        landed = tracker.goto(timeline.start_index + 1)
+        landed = tracker.timeline_view().goto(timeline.start_index + 1)
         assert landed.reason.type is PauseReasonType.BREAKPOINT
         assert tracker.get_position()[1] == 2
         variable = tracker.get_variable("x") or tracker.get_variable("n")
         assert variable is not None
-        tracker.goto(-1)
-        tracker.backward_resume()
+        tracker.timeline_view().goto(-1)
+        tracker.timeline_view().backward_resume()
         assert tracker.snapshot().reason.type is PauseReasonType.BREAKPOINT
         assert tracker.snapshot().depth == 4
     finally:
@@ -318,14 +318,100 @@ def test_reverse_navigation_parity_on_monitoring(tmp_path):
         rewound = {"python": [], "mon": []}
         for name, tracker in (("python", python), ("mon", mon)):
             for _ in range(tracker.timeline.retained - 1):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
                 rewound[name].append(_normalize(tracker.snapshot()))
             with pytest.raises(NotPausedError):
-                tracker.backward_step()
+                tracker.timeline_view().backward_step()
         assert rewound["python"] == rewound["mon"]
     finally:
         python.terminate()
         mon.terminate()
+
+
+# double_it(3) returns 6, double_it(6) returns 12. The RISC-V program is
+# the one of test_gdbtracker's TestAssemblyRetScan: its exits come from
+# the ret-scan, so the exit pause sits on the ``ret`` line (9).
+ASM_DOUBLE_IT = """\
+main:
+    li a0, 3
+    call double_it
+    call double_it
+    li a7, 93
+    ecall
+double_it:
+    add a0, a0, a0
+    ret
+"""
+
+C_DOUBLE_IT = """\
+int double_it(int v) {
+    return v + v;
+}
+
+int main(void) {
+    int x = double_it(3);
+    x = double_it(x);
+    return 0;
+}
+"""
+
+PY_DOUBLE_IT = """\
+def double_it(v):
+    return v + v
+
+x = double_it(3)
+x = double_it(x)
+"""
+
+#: case -> (backend, file name, source, line of the exit pause)
+_DOUBLE_IT = {
+    "asm": ("GDB", "prog.s", ASM_DOUBLE_IT, 9),
+    "c": ("GDB", "prog.c", C_DOUBLE_IT, 2),
+    "subproc": ("python-subproc", "prog.py", PY_DOUBLE_IT, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DOUBLE_IT))
+def test_recorded_pauses_match_live(case, tmp_path):
+    """A server-side recording of ``track_function`` says what the live
+    run said: the same pause kinds, counted as such by the stats, and
+    queryable by return value, on every remote backend."""
+    backend, filename, source, exit_line = _DOUBLE_IT[case]
+    path = tmp_path / filename
+    path.write_text(source)
+    tracker = init_tracker(backend)
+    try:
+        tracker.load_program(str(path))
+        tracker.track_function("double_it")
+        tracker.enable_recording()
+        tracker.start()
+        live = [tracker.pause_reason.type]
+        for _ in range(20):
+            if tracker.get_exit_code() is not None:
+                break
+            tracker.resume()
+            live.append(tracker.pause_reason.type)
+            if live[-1] is PauseReasonType.RETURN:
+                assert tracker.get_position()[1] == exit_line
+                assert tracker.get_current_frame().name == "double_it"
+        assert live[1:] == [
+            PauseReasonType.CALL, PauseReasonType.RETURN,
+            PauseReasonType.CALL, PauseReasonType.RETURN,
+            PauseReasonType.EXIT,
+        ]
+        snapshots = list(tracker.timeline.snapshots())
+        assert [snapshot.reason.type for snapshot in snapshots] == live
+        for snapshot in snapshots:
+            if snapshot.reason.type is PauseReasonType.RETURN:
+                assert snapshot.line == exit_line
+                assert snapshot.frame.name == "double_it"
+        pauses = tracker.get_stats().pauses
+        assert (pauses.get("call"), pauses.get("return")) == (2, 2)
+        assert "breakpoint" not in pauses
+        query = tracker.timeline_query("double_it() == 6")
+        assert len(query["matches"]) == 1
+    finally:
+        tracker.terminate()
 
 
 _RECORDERS = {
@@ -358,8 +444,8 @@ def test_replay_tracker_replays_either_backend(recorder, tmp_path):
             reason = replay.pause_reason
             hits.append((reason.type.value, replay.get_position()[1]))
     assert hits == [("breakpoint", 2)] * 4
-    replay.backward_step()
+    replay.timeline_view().backward_step()
     assert replay.get_exit_code() is None
-    replay.goto(replay.timeline.start_index)
+    replay.timeline_view().goto(replay.timeline.start_index)
     assert replay.step_index == replay.timeline.start_index
     replay.terminate()

@@ -5,8 +5,7 @@ codec's own diff patches (and its parity with a scan-built index), the
 ``.tracedir/`` spill layout (eviction moves segments to disk; reads load
 them back lazily), the unified :class:`TimelineView` query API over live
 and reopened recordings, the query expression grammar, typed
-:class:`TraceStoreError` on corruption, and the navigation re-homing
-(``goto``/``backward_*`` as deprecated shims over the view).
+:class:`TraceStoreError` on corruption, and navigation through the view.
 """
 
 import json
@@ -472,27 +471,11 @@ class TestQueryGrammar:
 
 
 # ---------------------------------------------------------------------------
-# Navigation re-homing: deprecation shims over the view
+# Navigation through the view
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedNavigation:
-    def test_tracker_goto_and_backward_warn_but_work(self, program):
-        tracker = _record(program, keyframe_interval=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tracker.goto(2)
-            tracker.backward_step()
-        messages = [str(warning.message) for warning in caught]
-        assert any("timeline_view" in message for message in messages)
-        assert len([
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-        ]) == 2
-        assert tracker._timeline_position() == 1
-        tracker.terminate()
-
     def test_view_navigation_does_not_warn(self, program):
         tracker = _record(program, keyframe_interval=4)
         view = tracker.timeline_view()
