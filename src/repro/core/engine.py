@@ -2,26 +2,31 @@
 
 Every tracker backend must answer the same question on every trace event:
 *given the installed control points and the current step mode, should the
-inferior pause here?* The seed implementations each answered it with a
-linear scan over their private breakpoint lists — O(all control points)
-per event, which is exactly the per-event overhead the paper's Section IV
-measures on the hot path.
+inferior pause here, and why?* :meth:`ControlPointEngine.decide` is the
+one answer: the live Python trackers, the MI debug server and the replay
+tracker all hand it their events and only translate the returned
+:class:`PauseDecision` into their own output, so a recorded run pauses
+for the same reasons as the live one. The precedence it applies is the
+canonical one:
 
-:class:`ControlPointEngine` centralizes that decision. It compiles the
-control-point registries into indexed structures once (and again only when
-a registry changes, tracked by a dirty flag):
+- a ``call`` event: function breakpoint, then tracked-function entry;
+- a ``line`` event: watchpoint, then line breakpoint, then address
+  breakpoint, then the step mode;
+- a ``return`` event: tracked-function exit.
+
+The engine compiles the control-point registries into indexed structures
+once (and again only when a registry changes, tracked by a dirty flag):
 
 - a ``frozenset`` of all breakpoint line numbers, so the common case
   ("this line has no breakpoint") is one O(1) membership test;
-- per-line candidate buckets preserving installation order, so first-match
-  semantics are identical to the seed's list scans;
+- per-line candidate buckets preserving installation order, so the first
+  installed matching point wins;
 - dict-keyed lookups for function breakpoints, tracked functions, and
   address breakpoints;
 - a per-file "any control point here?" map, so the Python tracker can
   return ``None`` from its local trace function and skip whole frames;
 - a step-mode/depth state machine shared by ``step``/``next``/``finish``;
-- unified watchpoint change-detection over a backend-supplied fetch
-  callback.
+- unified watchpoint change-detection over backend-supplied values.
 
 The engine is also the observability layer: :class:`TrackerStats` counts
 events seen/suppressed per kind, pauses by reason, watchpoint evaluations
@@ -43,9 +48,12 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
 )
+
+from repro.core.pause import PauseReason, PauseReasonType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.core.tracker import (
@@ -58,6 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 __all__ = [
     "AddressBreakpoint",
     "ControlPointEngine",
+    "PauseDecision",
     "TrackerStats",
     "split_variable_id",
 ]
@@ -76,6 +85,31 @@ class AddressBreakpoint:
     enabled: bool = True
     #: Restrict to one inferior thread index (``None`` = any thread).
     thread: Optional[int] = None
+
+
+class PauseDecision(NamedTuple):
+    """The winning pause of one event, as :meth:`ControlPointEngine.decide`
+    returns it: the reason type, the control point that claimed the event
+    (``None`` for a step), the function of a ``call``/``return`` event, and
+    a watch's old and new rendered values."""
+
+    type: PauseReasonType
+    point: Any = None
+    function: Optional[str] = None
+    old: Optional[str] = None
+    new: Optional[str] = None
+
+    def reason(self, line: Optional[int]) -> PauseReason:
+        """The tracker-API pause reason for this decision, paused at ``line``."""
+        watch = self.type is PauseReasonType.WATCH
+        return PauseReason(
+            type=self.type,
+            function=self.function,
+            variable=self.point.variable_id if watch else None,
+            old_value=self.old,
+            new_value=self.new,
+            line=line,
+        )
 
 
 def split_variable_id(variable_id: str) -> Tuple[Optional[str], str]:
@@ -507,6 +541,86 @@ class ControlPointEngine:
     # Pause decisions
     # ------------------------------------------------------------------
 
+    def decide(
+        self,
+        event: str,
+        backend: Any,
+        at: Any,
+        function: Optional[str] = None,
+        line: Optional[int] = None,
+        filename: Optional[str] = None,
+    ) -> Optional[PauseDecision]:
+        """The winning pause for one ``call``/``line``/``return`` event.
+
+        Refreshes the indexes, counts the event, then applies the canonical
+        precedence (see the module docstring). ``at`` is the backend's
+        handle on the event (a Python frame, a mini-C event, a recorded
+        snapshot); the engine reads from it through ``backend`` only once
+        something could match:
+
+        - ``backend._event_depth(at)`` and ``backend._event_thread(at)``;
+        - ``backend._event_watch(at, function, name)``, the rendered value
+          of a watched variable or ``None`` when it is not visible;
+        - ``backend._event_pc(at)``, asked only while address
+          breakpoints exist.
+
+        ``function`` names the function of a ``call``/``return`` event;
+        ``line`` and ``filename`` locate a ``line`` event (``filename`` is
+        ``None`` for backends whose breakpoints are file-agnostic). Any
+        other event kind is counted and never pauses.
+        """
+        if self._dirty:
+            self._recompile()
+        self.note_event(event)
+        if event == "line":
+            if not (
+                line in self._bp_lines
+                or self._has_watchpoints
+                or self._address_index
+                or self.mode != "resume"
+            ):
+                return None
+            depth = backend._event_depth(at)
+            thread = backend._event_thread(at)
+            if self._has_watchpoints:
+                hit = self._changed_watch(
+                    depth, thread, backend._event_watch, at
+                )
+                if hit is not None:
+                    watchpoint, old, new = hit
+                    return PauseDecision(
+                        PauseReasonType.WATCH, watchpoint, None, old, new
+                    )
+            point = self.match_line(filename, line, depth, thread)
+            if point is None and self._address_index:
+                point = self.match_address(backend._event_pc(at), depth, thread)
+            if point is not None:
+                return PauseDecision(PauseReasonType.BREAKPOINT, point)
+            if self.should_step_pause(depth, thread):
+                return PauseDecision(PauseReasonType.STEP)
+            return None
+        if event == "call":
+            kind = PauseReasonType.CALL
+        elif event == "return":
+            kind = PauseReasonType.RETURN
+        else:
+            return None
+        if (
+            function not in self._function_index
+            and function not in self._tracked_index
+        ):
+            return None
+        depth = backend._event_depth(at)
+        thread = backend._event_thread(at)
+        if kind is PauseReasonType.CALL:
+            point = self.match_function_breakpoint(function, depth, thread)
+            if point is not None:
+                return PauseDecision(PauseReasonType.BREAKPOINT, point, function)
+        point = self.match_tracked(function, depth, thread)
+        if point is not None:
+            return PauseDecision(kind, point, function)
+        return None
+
     @property
     def has_watchpoints(self) -> bool:
         """Whether any watchpoints are installed (enabled or not)."""
@@ -658,6 +772,17 @@ class ControlPointEngine:
             a hit are updated; later ones keep their previous snapshot,
             matching the seed trackers' scan behaviour.
         """
+        return self._changed_watch(
+            depth, thread, lambda _at, function, name: fetch(function, name), None
+        )
+
+    def _changed_watch(
+        self,
+        depth: int,
+        thread: int,
+        fetch: Callable[[Any, Optional[str], str], Optional[str]],
+        at: Any,
+    ) -> Optional[Tuple[Watchpoint, Optional[str], str]]:
         snapshots = self._watch_snapshots
         stats = self.stats
         for watchpoint in self.watchpoints:
@@ -668,7 +793,7 @@ class ControlPointEngine:
                 # events; other threads must not consume its baseline.
                 continue
             function, name = split_variable_id(watchpoint.variable_id)
-            current = fetch(function, name)
+            current = fetch(at, function, name)
             stats.watch_evaluations += 1
             key = id(watchpoint)
             previous = snapshots.get(key)

@@ -8,12 +8,13 @@ any backend via :meth:`Tracker.enable_recording`, loaded from a
 a registered timeline codec (Python Tutor traces are one such codec; the
 PT tracker is now a thin subclass of this one).
 
-Control points are evaluated against recorded snapshots through the same
-:class:`ControlPointEngine` the live backends use, so ``resume`` over a
-replay pauses at the same breakpoints/watchpoints/tracked functions a
-live run would — to the resolution of what was recorded. Because the
-history is immutable, the reverse control calls (``backward_step``,
-``goto`` ...) are native motions here rather than a rewind overlay.
+Each recorded snapshot's event goes through the same pause decision the
+live backends use (:meth:`ControlPointEngine.decide`), so every control
+call over a replay pauses at the same breakpoints/watchpoints/tracked
+functions, for the same reasons, as a live run would — to the resolution
+of what was recorded. Because the history is immutable, the reverse
+control calls (``backward_step``, ``goto`` ...) are native motions here
+rather than a rewind overlay.
 """
 
 from __future__ import annotations
@@ -116,69 +117,32 @@ class ReplayTracker(Tracker):
                 return
 
     def _decide(self, snapshot: StateSnapshot) -> Optional[PauseReason]:
-        """One recorded snapshot in, pause decision out — via the engine."""
+        """One recorded snapshot in, pause decision out — via the engine.
+
+        The snapshot's event goes through the same decision as a live
+        event, so control points claim it exactly as they would live; a
+        snapshot no control point claims still completes an armed step.
+        """
         engine = self.engine
-        engine.refresh()
-        engine.note_event(snapshot.event or "step")
-        depth = snapshot.depth
-        # A plain step pauses at the very next recorded point, before any
-        # control point gets a look — matching the live trackers, where a
-        # step lands on the next line unconditionally.
-        if engine.mode != "step":
-            reason = self._control_point(snapshot)
-            if reason is not None:
-                return reason
-        if engine.should_step_pause(depth):
+        event = snapshot.event
+        if event not in (EVENT_CALL, EVENT_RETURN):
+            event = "line"
+        decision = engine.decide(
+            event, self, snapshot, snapshot.func_name, snapshot.line
+        )
+        if decision is not None:
+            return decision.reason(snapshot.line)
+        if engine.should_step_pause(snapshot.depth):
             return PauseReason(type=PauseReasonType.STEP, line=snapshot.line)
         return None
 
-    def _control_point(self, snapshot: StateSnapshot) -> Optional[PauseReason]:
-        engine = self.engine
-        depth = snapshot.depth
-        if engine.has_watchpoints:
-            hit = engine.evaluate_watches(
-                depth,
-                lambda function, name: self._watch_render(
-                    snapshot, function, name
-                ),
-            )
-            if hit is not None:
-                watchpoint, old, new = hit
-                return PauseReason(
-                    type=PauseReasonType.WATCH,
-                    variable=watchpoint.variable_id,
-                    old_value=old,
-                    new_value=new,
-                    line=snapshot.line,
-                )
-        if snapshot.line is not None and engine.may_match_line(snapshot.line):
-            if engine.match_line(None, snapshot.line, depth) is not None:
-                return PauseReason(
-                    type=PauseReasonType.BREAKPOINT, line=snapshot.line
-                )
-        name = snapshot.func_name
-        if name and engine.may_match_function(name):
-            if snapshot.event == EVENT_CALL:
-                if engine.match_function_breakpoint(name, depth) is not None:
-                    return PauseReason(
-                        type=PauseReasonType.BREAKPOINT,
-                        function=name,
-                        line=snapshot.line,
-                    )
-            if snapshot.event in (EVENT_CALL, EVENT_RETURN):
-                if engine.match_tracked(name, depth) is not None:
-                    return PauseReason(
-                        type=(
-                            PauseReasonType.CALL
-                            if snapshot.event == EVENT_CALL
-                            else PauseReasonType.RETURN
-                        ),
-                        function=name,
-                        line=snapshot.line,
-                    )
-        return None
+    def _event_depth(self, snapshot: StateSnapshot) -> int:
+        return snapshot.depth
 
-    def _watch_render(
+    def _event_thread(self, snapshot: StateSnapshot) -> int:
+        return 0
+
+    def _event_watch(
         self, snapshot: StateSnapshot, function: Optional[str], name: str
     ) -> Optional[str]:
         """Rendered value of a watched variable in a recorded snapshot.

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.engine import ControlPointEngine
 from repro.core.errors import ProgramLoadError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
 from repro.core.state import (
@@ -785,60 +786,39 @@ _BREAKPOINT_REASONS = (
 )
 
 
-def scan_backward(timeline: Timeline, current: int, mode: str) -> int:
-    """Index of the snapshot a reverse control call should land on.
+def scan_timeline(
+    timeline: Timeline, current: int, mode: str, direction: int
+) -> int:
+    """Index of the snapshot a control call moving through history lands on.
 
     Args:
         timeline: the recorded timeline.
         current: global index of the current snapshot.
-        mode: "step" (previous snapshot), "next" (previous snapshot at
-            depth <= current), "finish" (previous snapshot at depth <
-            current), or "resume" (previous control-point pause).
+        mode: "step" (adjacent snapshot), "next"/"finish" (the nearest
+            snapshot where the engine's step-mode rule would pause, against
+            the current depth), or "resume" (nearest control-point pause).
+        direction: ``-1`` for a reverse call, ``+1`` for a forward call of
+            a rewound live tracker.
 
-    The scan falls back to the oldest retained snapshot when no snapshot
-    matches, mirroring how a forward ``resume`` falls through to exit.
+    The scan stops at the end it moves toward — the oldest retained
+    snapshot, or the newest one (where a rewound live inferior still sits
+    and control goes live again) — when no snapshot matches, mirroring how
+    a forward ``resume`` falls through to exit.
     """
+    end = timeline.first_index if direction < 0 else len(timeline) - 1
     if mode == "step":
-        return max(current - 1, timeline.first_index)
-    depth = timeline.snapshot(current).depth
-    for index in range(current - 1, timeline.first_index - 1, -1):
+        return end if current == end else current + direction
+    stepping = ControlPointEngine()
+    stepping.arm(mode, timeline.snapshot(current).depth)
+    for index in range(current + direction, end + direction, direction):
         snapshot = timeline.snapshot(index)
-        if mode == "next" and snapshot.depth <= depth:
-            return index
-        if mode == "finish" and snapshot.depth < depth:
-            return index
-        if mode == "resume" and (
-            snapshot.reason is not None
+        if stepping.should_step_pause(snapshot.depth) or (
+            mode == "resume"
+            and snapshot.reason is not None
             and snapshot.reason.type in _BREAKPOINT_REASONS
         ):
             return index
-    return timeline.first_index
-
-
-def scan_forward(timeline: Timeline, current: int, mode: str) -> int:
-    """Forward counterpart of :func:`scan_backward` for rewound trackers.
-
-    Used when a forward control call arrives while a live tracker is
-    rewound into its history: the call moves through *recorded* pauses
-    until it reaches the newest snapshot (where the live inferior still
-    sits, and control goes live again).
-    """
-    head = len(timeline) - 1
-    if mode == "step":
-        return min(current + 1, head)
-    depth = timeline.snapshot(current).depth
-    for index in range(current + 1, head + 1):
-        snapshot = timeline.snapshot(index)
-        if mode == "next" and snapshot.depth <= depth:
-            return index
-        if mode == "finish" and snapshot.depth < depth:
-            return index
-        if mode == "resume" and (
-            snapshot.reason is not None
-            and snapshot.reason.type in _BREAKPOINT_REASONS
-        ):
-            return index
-    return head
+    return end
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ from repro.core.timeline import (
     StateSnapshot,
     Timeline,
     TimelineRecorder,
-    scan_backward,
-    scan_forward,
+    scan_timeline,
 )
 
 
@@ -248,7 +247,9 @@ class Tracker:
             # Rewound into history: the call moves through *recorded*
             # pauses until it reaches the newest snapshot, then goes live.
             self._seek_timeline(
-                scan_forward(self._require_timeline(), self._timeline_position(), name)
+                scan_timeline(
+                    self._require_timeline(), self._timeline_position(), name, 1
+                )
             )
             return
         self._require_running()
@@ -515,7 +516,7 @@ class Tracker:
         current = self._timeline_position()
         if current <= timeline.first_index:
             raise NotPausedError("already at the oldest recorded snapshot")
-        self._seek_timeline(scan_backward(timeline, current, mode))
+        self._seek_timeline(scan_timeline(timeline, current, mode, -1))
 
     def _require_timeline(self) -> Timeline:
         timeline = self.timeline

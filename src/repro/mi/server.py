@@ -28,7 +28,11 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.core.engine import AddressBreakpoint, ControlPointEngine
+from repro.core.engine import (
+    AddressBreakpoint,
+    ControlPointEngine,
+    PauseDecision,
+)
 from repro.core.errors import ProgramLoadError, TrackerError
 from repro.core.pause import PauseReasonType
 from repro.core.state import frame_to_dict, variable_to_dict
@@ -58,6 +62,7 @@ from repro.minic.events import (
 from repro.mi import protocol
 from repro.mi.inferiors import InferiorAdapter, open_inferior
 from repro.mi.servercore import (
+    REASON_NAMES,
     REASON_TYPES,
     ServerCore,
     reason_from_stop,
@@ -302,7 +307,6 @@ class DebugServer(ServerCore):
         records: List[str] = []
         engine = self.engine
         engine.arm("resume" if mode == "continue" else mode, self._depth)
-        engine.refresh()
         while True:
             if self._interrupt_pending():
                 self._interrupt_requested = False
@@ -342,29 +346,40 @@ class DebugServer(ServerCore):
                 self._depth = event.depth
                 self._event_kind = EVENT_CALL
                 self._func = event.function
-                reason = self._check_call(event)
-                if reason is not None:
-                    return self._stop(records, reason)
-                continue
-            if isinstance(event, ReturnEvent):
+                decision = engine.decide("call", self, event, event.function)
+            elif isinstance(event, ReturnEvent):
                 self._event_kind = EVENT_RETURN
                 self._func = event.function
-                reason = self._check_return(event)
+                if self.inferior.ret_scan:
+                    # A ret-scan substrate reports exits from its return
+                    # instructions instead: this event fires after the
+                    # callee's frame is gone.
+                    engine.note_event("return")
+                    decision = None
+                else:
+                    decision = engine.decide(
+                        "return", self, event, event.function
+                    )
                 self._depth = max(event.depth - 1, 0)
-                if reason is not None:
-                    return self._stop(records, reason)
-                continue
-            if isinstance(event, LineEvent):
+            elif isinstance(event, LineEvent):
                 self._depth = event.depth
                 self._event_kind = EVENT_LINE
                 self._func = event.function
                 self._last_line = self._line
                 self._line = event.line
-                reason = self._check_line(event)
-                if reason is not None:
-                    return self._stop(records, reason)
+                if not self._watch_baseline_done:
+                    # C globals exist (initialized) before the first line
+                    # runs: a watch fires on *modification*, not on the
+                    # pre-existing initial value.
+                    self._watch_baseline_done = True
+                    engine.baseline_watches(self.inferior.render_watch)
+                decision = engine.decide("line", self, event, None, event.line)
+            else:
+                # WriteEvent and any future event kinds: no run-control
+                # effect.
                 continue
-            # WriteEvent and any future event kinds: no run-control effect.
+            if decision is not None:
+                return self._stop(records, self._stop_for(decision, event))
 
     def _interrupt_pending(self) -> bool:
         """Whether an interrupt arrived (flag, or stdin every N events)."""
@@ -406,120 +421,53 @@ class DebugServer(ServerCore):
             payload["error"] = error
         return self._stop(records, payload)
 
-    def _check_call(self, event: CallEvent) -> Optional[Dict[str, Any]]:
-        engine = self.engine
-        engine.note_event("call")
-        if not engine.may_match_function(event.function):
-            return None
-        matched = engine.match_function_breakpoint(event.function, event.depth)
-        if matched is not None:
-            return {
-                "reason": "breakpoint-hit",
-                "func": event.function,
-                "line": event.line,
-                "depth": event.depth,
-                "bkptno": getattr(matched, "number", 0),
-            }
-        if engine.match_tracked(event.function, event.depth) is not None:
-            return {
-                "reason": "function-entry",
-                "func": event.function,
-                "line": event.line,
-                "depth": event.depth,
-            }
-        return None
-
-    def _check_return(self, event: ReturnEvent) -> Optional[Dict[str, Any]]:
-        engine = self.engine
-        engine.note_event("return")
-        # A ret-scan substrate reports exits from its return instructions
-        # instead: this event fires after the callee's frame is gone.
-        if self.inferior.ret_scan or not engine.may_match_function(
-            event.function
-        ):
-            return None
-        if engine.match_tracked(event.function, event.depth) is not None:
-            return {
-                "reason": "function-exit",
-                "func": event.function,
-                "line": event.line,
-                "depth": event.depth,
-                "retval": event.value,
-            }
-        return None
-
-    def _check_line(self, event: LineEvent) -> Optional[Dict[str, Any]]:
-        engine = self.engine
-        engine.note_event("line")
-        if not self._watch_baseline_done:
-            # C globals exist (initialized) before the first line runs, so
-            # the first check only records baselines — a watch fires on
-            # *modification*, not on the pre-existing initial value.
-            self._watch_baseline_done = True
-            engine.baseline_watches(self.inferior.render_watch)
-        elif engine.has_watchpoints:
-            hit = engine.evaluate_watches(
-                event.depth, self.inferior.render_watch
+    def _stop_for(self, decision: PauseDecision, event: Any) -> Dict[str, Any]:
+        """The ``*stopped`` payload for an engine pause decision."""
+        kind, point = decision.type, decision.point
+        stop: Dict[str, Any] = {
+            "reason": REASON_NAMES[kind],
+            "func": event.function,
+            "line": event.line,
+            "depth": event.depth,
+        }
+        if isinstance(point, _ExitPoint):
+            self._event_kind = EVENT_RETURN
+            stop.update(
+                reason="function-exit",
+                func=point.function,
+                retval=self.inferior.return_value(),
             )
-            if hit is not None:
-                watch, old, new = hit
-                return {
-                    "reason": "watchpoint-trigger",
-                    "var": watch.variable_id,
-                    "old": old,
-                    "new": new,
-                    "line": event.line,
-                    "func": event.function,
-                    "depth": event.depth,
-                    "wpnum": getattr(watch, "number", 0),
-                }
-        # The program counter is only fetched when something needs it:
-        # an address breakpoint is installed or a stop payload is built.
-        pc: Optional[int] = None
-        if engine.may_match_line(event.line):
-            matched = engine.match_line(None, event.line, event.depth)
-            if matched is not None:
-                pc = self.inferior.current_pc()
-                return {
-                    "reason": "breakpoint-hit",
-                    "line": event.line,
-                    "func": event.function,
-                    "depth": event.depth,
-                    "bkptno": getattr(matched, "number", 0),
-                    "pc": pc,
-                }
-        if engine.has_address_breakpoints:
-            pc = self.inferior.current_pc()
-            matched = engine.match_address(pc, event.depth)
-            if isinstance(matched, _ExitPoint):
-                self._event_kind = EVENT_RETURN
-                return {
-                    "reason": "function-exit",
-                    "func": matched.function,
-                    "line": event.line,
-                    "depth": event.depth,
-                    "retval": self.inferior.return_value(),
-                }
-            if matched is not None:
-                return {
-                    "reason": "breakpoint-hit",
-                    "line": event.line,
-                    "func": event.function,
-                    "depth": event.depth,
-                    "bkptno": getattr(matched, "number", 0),
-                    "pc": pc,
-                }
-        if engine.should_step_pause(event.depth):
-            if pc is None:
-                pc = self.inferior.current_pc()
-            return {
-                "reason": "end-stepping-range",
-                "line": event.line,
-                "func": event.function,
-                "depth": event.depth,
-                "pc": pc,
-            }
-        return None
+        elif kind is PauseReasonType.RETURN:
+            stop["retval"] = event.value
+        elif kind is PauseReasonType.WATCH:
+            stop.update(
+                var=point.variable_id,
+                old=decision.old,
+                new=decision.new,
+                wpnum=getattr(point, "number", 0),
+            )
+        else:
+            if kind is PauseReasonType.BREAKPOINT:
+                stop["bkptno"] = getattr(point, "number", 0)
+            if isinstance(event, LineEvent):
+                stop["pc"] = self.inferior.current_pc()
+        return stop
+
+    # Engine reads for one inferior event (see ControlPointEngine.decide).
+
+    def _event_depth(self, event: Any) -> int:
+        return event.depth
+
+    def _event_thread(self, event: Any) -> int:
+        return 0
+
+    def _event_watch(
+        self, event: Any, function: Optional[str], name: str
+    ) -> Optional[str]:
+        return self.inferior.render_watch(function, name)
+
+    def _event_pc(self, event: Any) -> Optional[int]:
+        return self.inferior.current_pc()
 
     # ------------------------------------------------------------------
     # Timeline recording: the server-side half of time travel

@@ -216,6 +216,9 @@ class PythonTracker(Tracker):
         #: OS ident of the thread owning the live pause handshake.
         self._paused_owner_ident: Optional[int] = None
         self._saved_threading_trace: Any = None
+        # Bound once: every attribute access would build a new bound
+        # method, and the tamper guard tests ``sys.gettrace()`` by identity.
+        self._trace = self._trace
         self._saved_excepthook: Any = None
         self._stall_detector = StallDetector()
         #: Thread indexes the last stall verdict found blocked on locks;
@@ -700,8 +703,12 @@ class PythonTracker(Tracker):
             self._thread_records[index] = record
             return index
 
-    def _thread_index(self) -> int:
-        """Stable index of the calling inferior thread (0 if unknown)."""
+    def _event_thread(self, frame) -> int:
+        """Stable index of the calling inferior thread (0 if unknown).
+
+        The engine's thread read for ``frame``'s event, which is always the
+        calling thread's.
+        """
         index = self._thread_ids.get(threading.get_ident())
         return 0 if index is None else index
 
@@ -759,7 +766,7 @@ class PythonTracker(Tracker):
             self._saved_stdout = None
 
     # ------------------------------------------------------------------
-    # The trace function: every pause decision happens here
+    # The trace function: each event goes to the engine's pause decision
     # ------------------------------------------------------------------
 
     def _trace(self, frame, event: str, arg: Any):
@@ -850,7 +857,7 @@ class PythonTracker(Tracker):
     def _is_inferior_frame(self, frame) -> bool:
         return frame.f_code.co_filename == self._program_abspath
 
-    def _frame_depth(self, frame) -> int:
+    def _event_depth(self, frame) -> int:
         depth = -1
         current = frame
         while current is not None:
@@ -862,139 +869,40 @@ class PythonTracker(Tracker):
     def _current_depth(self) -> int:
         if self._paused_py_frame is None:
             return 0
-        return self._frame_depth(self._paused_py_frame)
+        return self._event_depth(self._paused_py_frame)
 
     def _handle_call(self, frame) -> None:
-        engine = self.engine
-        engine.refresh()
-        engine.note_event("call")
-        function = frame.f_code.co_name
-        if function == "<module>":
-            return
-        if not engine.may_match_function(function):
-            return
-        depth = self._frame_depth(frame)
-        thread = self._thread_index()
-        if engine.match_function_breakpoint(function, depth, thread) is not None:
-            self._pause(
-                frame,
-                "call",
-                PauseReason(
-                    type=PauseReasonType.BREAKPOINT,
-                    function=function,
-                    line=frame.f_lineno,
-                ),
-            )
-            return
-        if engine.match_tracked(function, depth, thread) is not None:
-            self._pause(
-                frame,
-                "call",
-                PauseReason(
-                    type=PauseReasonType.CALL,
-                    function=function,
-                    line=frame.f_lineno,
-                ),
-            )
+        decision = self.engine.decide("call", self, frame, frame.f_code.co_name)
+        if decision is not None:
+            self._pause(frame, "call", decision.reason(frame.f_lineno))
 
     def _handle_line(self, frame) -> None:
-        engine = self.engine
-        engine.refresh()
-        engine.note_event("line")
         line = frame.f_lineno
         self.last_lineno = self.next_lineno
         self.next_lineno = line
-
-        # Depth is O(stack) to compute, so it is resolved lazily: only once
-        # something (watch, candidate breakpoint, armed stepping) needs it.
-        # Same for the thread index (one dict hit) — the no-hit fast path
-        # touches neither.
-        depth = -1
-        thread = -1
-        if engine.has_watchpoints:
-            depth = self._frame_depth(frame)
-            thread = self._thread_index()
-            hit = engine.evaluate_watches(
-                depth,
-                lambda function, name: self._render_watched(
-                    frame, function, name
-                ),
-                thread,
-            )
-            if hit is not None:
-                watchpoint, old, new = hit
-                self._pause(
-                    frame,
-                    "line",
-                    PauseReason(
-                        type=PauseReasonType.WATCH,
-                        variable=watchpoint.variable_id,
-                        old_value=old,
-                        new_value=new,
-                        line=line,
-                    ),
-                )
-                return
-
-        if engine.may_match_line(line):
-            if depth < 0:
-                depth = self._frame_depth(frame)
-            if thread < 0:
-                thread = self._thread_index()
-            if (
-                engine.match_line(frame.f_code.co_filename, line, depth, thread)
-                is not None
-            ):
-                self._pause(
-                    frame,
-                    "line",
-                    PauseReason(type=PauseReasonType.BREAKPOINT, line=line),
-                )
-                return
-
-        if engine.mode != "resume":
-            if depth < 0:
-                depth = self._frame_depth(frame)
-            if thread < 0:
-                thread = self._thread_index()
-            if engine.should_step_pause(depth, thread):
-                self._pause(
-                    frame,
-                    "line",
-                    PauseReason(type=PauseReasonType.STEP, line=line),
-                )
+        decision = self.engine.decide(
+            "line", self, frame, None, line, frame.f_code.co_filename
+        )
+        if decision is not None:
+            self._pause(frame, "line", decision.reason(line))
 
     def _handle_return(self, frame, return_value: Any) -> None:
-        engine = self.engine
-        engine.refresh()
-        engine.note_event("return")
-        function = frame.f_code.co_name
-        if function == "<module>":
-            return
-        if not engine.may_match_function(function):
-            return
-        depth = self._frame_depth(frame)
-        if engine.match_tracked(function, depth, self._thread_index()) is not None:
-            modeled = self._snapshotter().snapshot(return_value)
-            self._pause(
-                frame,
-                "return",
-                PauseReason(
-                    type=PauseReasonType.RETURN,
-                    function=function,
-                    return_value=modeled,
-                    line=frame.f_lineno,
-                ),
-            )
+        decision = self.engine.decide(
+            "return", self, frame, frame.f_code.co_name
+        )
+        if decision is not None:
+            reason = decision.reason(frame.f_lineno)
+            reason.return_value = self._snapshotter().snapshot(return_value)
+            self._pause(frame, "return", reason)
 
     # ------------------------------------------------------------------
     # Watchpoints: value-change detection before every line
     # ------------------------------------------------------------------
 
-    def _render_watched(
+    def _event_watch(
         self, frame, function: Optional[str], name: str
     ) -> Optional[str]:
-        """Engine fetch callback: current rendered value, ``None`` = missing."""
+        """Engine watch read: current rendered value, ``None`` = missing."""
         current = self._find_watched(frame, function, name)
         return None if current is _MISSING else repr(current)
 

@@ -389,7 +389,7 @@ class PythonDebugServer(ServerCore):
     def _cmd_data_evaluate_expression(self, command) -> List[str]:
         name = command.args[0]
         frame_name = command.options.get("frame")
-        rendered = self.tracker._render_watched(
+        rendered = self.tracker._event_watch(
             self.tracker._paused_py_frame, frame_name, name
         )
         if rendered is None:

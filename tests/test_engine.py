@@ -239,6 +239,104 @@ class TestWatchEvaluation:
         assert engine.evaluate_watches(0, lambda f, n: "1") is None
 
 
+class _Backend:
+    """Fake backend for ``decide``: fixed reads, logged as they happen."""
+
+    def __init__(self):
+        self.reads = []
+
+    def _event_depth(self, at):
+        self.reads.append("depth")
+        return 0
+
+    def _event_thread(self, at):
+        self.reads.append("thread")
+        return 0
+
+    def _event_watch(self, at, function, name):
+        self.reads.append("watch")
+        return "1"
+
+    def _event_pc(self, at):
+        self.reads.append("pc")
+        return 0x40
+
+
+#: case -> (event, installed points, step mode, winning type, winning point)
+_PRECEDENCE = {
+    "watch-beats-breakpoint-and-step": (
+        "line", ["watch", "line", "address"], "step", "WATCH", "watch",
+    ),
+    "breakpoint-beats-step": ("line", ["line"], "step", "BREAKPOINT", "line"),
+    "line-breakpoint-beats-address": (
+        "line", ["line", "address"], "resume", "BREAKPOINT", "line",
+    ),
+    "exit-address-point-without-line-breakpoint": (
+        "line", ["address", "tracked"], "step", "BREAKPOINT", "address",
+    ),
+    "step-when-no-point-claims": (
+        "line", ["function", "tracked"], "step", "STEP", None,
+    ),
+    "function-breakpoint-beats-tracked-entry": (
+        "call", ["function", "tracked", "line"], "step", "BREAKPOINT", "function",
+    ),
+    "tracked-entry": ("call", ["tracked", "watch"], "resume", "CALL", "tracked"),
+    "tracked-exit": (
+        "return", ["function", "tracked"], "resume", "RETURN", "tracked",
+    ),
+    "call-never-step-pauses": ("call", ["line"], "step", None, None),
+}
+
+_REGISTRIES = {
+    "watch": "watches",
+    "line": "lines",
+    "address": "addresses",
+    "function": "functions",
+    "tracked": "tracked",
+}
+
+
+class TestDecide:
+    @staticmethod
+    def _points():
+        return {
+            "watch": Watchpoint(variable_id="x"),
+            "line": LineBreakpoint(line=7),
+            "address": AddressBreakpoint(address=0x40),
+            "function": FunctionBreakpoint(function="f"),
+            "tracked": TrackedFunction(function="f"),
+        }
+
+    @pytest.mark.parametrize("case", sorted(_PRECEDENCE))
+    def test_precedence(self, case):
+        event, installed, mode, expected, winner = _PRECEDENCE[case]
+        points = self._points()
+        engine = make_engine(
+            **{_REGISTRIES[name]: [points[name]] for name in installed}
+        )
+        engine.arm(mode)
+        decision = engine.decide(event, _Backend(), None, "f", 7)
+        if expected is None:
+            assert decision is None
+            return
+        assert decision.type is PauseReasonType[expected]
+        assert decision.point is (points[winner] if winner else None)
+        assert engine.stats.events_seen == {event: 1}
+
+    def test_no_hit_line_reads_nothing(self):
+        points = self._points()
+        engine = make_engine(
+            lines=[points["line"]],
+            functions=[points["function"]],
+            tracked=[points["tracked"]],
+        )
+        engine.arm("resume")
+        backend = _Backend()
+        assert engine.decide("line", backend, None, None, 8) is None
+        assert backend.reads == []
+        assert engine.stats.events_seen == {"line": 1}
+
+
 class TestSyncBookkeeping:
     def test_take_unsynced_is_incremental(self):
         first = LineBreakpoint(line=1)

@@ -135,6 +135,15 @@ class TestSettraceTampering:
         assert ("y", "'done'") in hits
         tracker.terminate()
 
+    def test_clean_program_counts_no_tampering(self, backend, write_program):
+        source = "def f(v):\n    return len([v])\n\nfor i in range(5):\n    x = f(i)\n"
+        tracker = make_tracker(backend)
+        tracker.load_program(write_program("prog.py", source))
+        tracker.break_before_line(5)
+        run_to_exit(tracker)
+        assert tracker.get_stats().settrace_tamperings == 0
+        tracker.terminate()
+
 
 class TestResourceBombs:
     def test_deep_recursion_is_a_clean_exit(self, backend, write_program):

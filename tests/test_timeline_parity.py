@@ -410,8 +410,25 @@ def test_recorded_pauses_match_live(case, tmp_path):
         assert "breakpoint" not in pauses
         query = tracker.timeline_query("double_it() == 6")
         assert len(query["matches"]) == 1
+        saved = str(tmp_path / "live.timeline.json")
+        tracker.timeline.save(saved)
     finally:
         tracker.terminate()
+
+    # The replay decides with the engine the live run used: stepping over
+    # the recording stops for the live reasons and counts them the same.
+    replay = init_tracker("replay")
+    replay.load_program(saved)
+    replay.track_function("double_it")
+    replay.start()
+    replayed = [replay.pause_reason.type]
+    while replay.get_exit_code() is None and len(replayed) <= len(live):
+        replay.step()
+        replayed.append(replay.pause_reason.type)
+    assert replayed == live
+    pauses = replay.get_stats().pauses
+    assert (pauses.get("call"), pauses.get("return")) == (2, 2)
+    replay.terminate()
 
 
 _RECORDERS = {
@@ -448,4 +465,29 @@ def test_replay_tracker_replays_either_backend(recorder, tmp_path):
     assert replay.get_exit_code() is None
     replay.timeline_view().goto(replay.timeline.start_index)
     assert replay.step_index == replay.timeline.start_index
+    replay.terminate()
+
+
+@pytest.mark.parametrize("recorder", sorted(_RECORDERS))
+def test_replay_step_onto_breakpoint_reports_it(recorder, tmp_path):
+    """A replayed ``step()`` that lands on a line breakpoint reports the
+    breakpoint, as a live step onto it would, not a plain step."""
+    live = _RECORDERS[recorder](tmp_path)
+    saved = str(tmp_path / f"{recorder}.timeline.json")
+    try:
+        live.timeline.save(saved)
+    finally:
+        live.terminate()
+
+    replay = init_tracker("replay")
+    replay.load_program(saved)
+    replay.break_before_line(2)
+    replay.start()
+    hits = []
+    for _ in range(10):
+        replay.step()
+        if replay.get_exit_code() is not None:
+            break
+        hits.append((replay.pause_reason.type, replay.get_position()[1]))
+    assert hits == [(PauseReasonType.BREAKPOINT, 2)] * 4
     replay.terminate()
