@@ -3,6 +3,10 @@
 Reproduces the paper's GDB/MI architecture (Fig. 4): the tracker process
 talks to a debugger subprocess over a pipe; the debugger owns the inferior
 and serializes abstract program state back across the pipe.
+
+The debug server (:mod:`repro.mi.server`) is not re-exported: it runs as
+``python -m repro.mi.server``, and importing it here would load that
+module a second time, with a ``RuntimeWarning``, in every server process.
 """
 
 from repro.mi.client import MIClient
@@ -25,13 +29,11 @@ from repro.mi.protocol import (
     parse_command,
     parse_record,
 )
-from repro.mi.server import DebugServer
 from repro.mi.staterender import CStateRenderer, render_watch
 
 __all__ = [
     "CStateRenderer",
     "Command",
-    "DebugServer",
     "InferiorAdapter",
     "MIClient",
     "MinicInferior",

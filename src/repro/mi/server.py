@@ -13,10 +13,12 @@ address point on each return instruction, and reports a pause there as
 current frame — exactly the record the mini-C path emits from its native
 return event.
 
-The protocol-side plumbing (dispatch, interrupt flag, control-point
+The protocol-side plumbing (dispatch, interrupt targeting, control-point
 numbering, the stdio loop) lives in :mod:`repro.mi.servercore`, shared
 with the out-of-process Python server (:mod:`repro.subproc.server`); this
 module adds the event-generator run loop over the interpreter inferiors.
+Before each event the loop compares one attribute: whether the stdin
+reader thread (or SIGINT) aimed an interrupt at the command it runs.
 
 ``DebugServer.handle`` is pure (command line in, record lines out), so the
 whole server is unit-testable without pipes; ``main`` adds the stdio loop.
@@ -69,11 +71,6 @@ from repro.mi.servercore import (
     serve_stdio,
 )
 
-#: How many inferior events run between two interrupt-poll callbacks.
-#: The flag itself is checked on every event; the poll (a select() on
-#: stdin) is the expensive part worth batching.
-_INTERRUPT_POLL_EVERY = 128
-
 
 @dataclass
 class _ExitPoint(AddressBreakpoint):
@@ -106,7 +103,6 @@ class DebugServer(ServerCore):
         self._line: Optional[int] = None
         self._last_line: Optional[int] = None
         self._watch_baseline_done = False
-        self._events_since_poll = 0
         #: Server-side timeline recording (the ``-timeline-*`` family):
         #: snapshots are captured at every ``*stopped`` while recording is
         #: on, so the whole history crosses the pipe once, on demand.
@@ -147,18 +143,6 @@ class DebugServer(ServerCore):
         if self._exited:
             return [protocol.format_error("the inferior has exited")]
         return [protocol.format_running()] + self._advance(mode)
-
-    def _cmd_exec_interrupt(self, command) -> List[str]:
-        """A stale interrupt: the inferior stopped before it arrived.
-
-        The live case never reaches command dispatch — while the run
-        loop is busy, ``-exec-interrupt`` is consumed by the stdin poller
-        (or delivered as SIGINT) and answered by the ``*stopped`` record
-        of the interrupted exec command. Emitting nothing here keeps the
-        stale case from desynchronizing the client's request/reply
-        pairing.
-        """
-        return []
 
     # -- control points --------------------------------------------------
 
@@ -307,9 +291,9 @@ class DebugServer(ServerCore):
         records: List[str] = []
         engine = self.engine
         engine.arm("resume" if mode == "continue" else mode, self._depth)
+        command = self._command
         while True:
-            if self._interrupt_pending():
-                self._interrupt_requested = False
+            if self._interrupt_target == command:
                 return self._stop(
                     records,
                     {
@@ -380,19 +364,6 @@ class DebugServer(ServerCore):
                 continue
             if decision is not None:
                 return self._stop(records, self._stop_for(decision, event))
-
-    def _interrupt_pending(self) -> bool:
-        """Whether an interrupt arrived (flag, or stdin every N events)."""
-        if self._interrupt_requested:
-            return True
-        self._events_since_poll += 1
-        if (
-            self.interrupt_poll is not None
-            and self._events_since_poll >= _INTERRUPT_POLL_EVERY
-        ):
-            self._events_since_poll = 0
-            return self.interrupt_poll()
-        return False
 
     def _stop(
         self, records: List[str], reason: Dict[str, Any]

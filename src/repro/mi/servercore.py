@@ -17,19 +17,16 @@ lives here:
   never a dead pipe), session-id echo (a command prefixed ``s1-...`` gets
   every reply record prefixed ``s1``, the multiplexed-session framing; an
   id-less command stays id-less, preserving wire compatibility with
-  legacy clients), the async-interrupt flag, the control-point number
-  registry shared by enable/disable/delete, and the ``-timeline-*``
-  recording family over a recorder each server supplies;
-- :class:`LineChannel` — exact, pollable line reads over a raw fd, which
-  is what lets a busy run loop notice an ``-exec-interrupt`` arriving
-  mid-run, including *sleeping* waits (``select`` with a timeout) so a
-  watcher thread burns no CPU while nothing is pending;
+  legacy clients), interrupts aimed at a numbered command, the
+  control-point number registry shared by enable/disable/delete, and the
+  ``-timeline-*`` recording family over a recorder each server supplies;
 - :class:`StdioServerLoop` / :func:`serve_stdio` — the loop that drives a
-  server over stdin/stdout (greeting, pending-command queue, stdin
-  interrupt poller, SIGINT handler), shared by both ``main`` entry
-  points. Dispatch is loop-driven: the loop *sleeps* until a line is
-  readable and hands it to the server, rather than spinning on a
-  zero-timeout poll.
+  server over stdin/stdout, shared by both ``main`` entry points: one
+  long-lived reader thread queues command lines and turns each
+  ``-exec-interrupt`` into an interrupt aimed at the last queued
+  command; the main thread dispatches the queue; SIGINT aims at the
+  command being dispatched. A run loop stops with ``interrupted`` only
+  while it runs the targeted command, so a late interrupt is dropped.
 
 ``ServerCore.handle`` is pure (command line in, record lines out), so
 every server built on it is unit-testable without pipes.
@@ -38,10 +35,11 @@ every server built on it is unit-testable without pipes.
 from __future__ import annotations
 
 import os
-import select
+import queue
 import signal
 import sys
-from typing import Any, Callable, Dict, List, Optional
+import threading
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.errors import ProgramLoadError, ProtocolError, TrackerError
 from repro.core.pause import PauseReason, PauseReasonType
@@ -148,25 +146,28 @@ class ServerCore:
     def __init__(self) -> None:
         self._number = 0
         self._finished = False
-        #: Set asynchronously (SIGINT handler) or via the stdin poller to
-        #: make a busy run-control loop stop with reason "interrupted".
-        self._interrupt_requested = False
-        #: Injected by ``serve_stdio``: polls stdin for an
-        #: ``-exec-interrupt`` that arrived while the server is busy.
-        #: Accepts an optional ``timeout`` (seconds to *sleep* in select
-        #: when nothing is pending, instead of busy-spinning) and an
-        #: optional ``wake_fd`` (an extra fd whose readability cuts the
-        #: sleep short, the self-pipe idiom). ``None`` in unit-test use
-        #: (tests set the flag directly).
-        self.interrupt_poll: Optional[Callable[..., bool]] = None
+        #: How many commands ``handle`` has dispatched. The stdin reader
+        #: numbers the lines it queues the same way, so "command k" names
+        #: the same command on both threads.
+        self._command = 0
+        #: The newest command an interrupt was aimed at. A run loop stops
+        #: with reason "interrupted" only while it runs that command.
+        self._interrupt_target = 0
 
-    def request_interrupt(self) -> None:
-        """Ask the busy run-control loop to stop at the next opportunity.
+    def request_interrupt(self, target: Optional[int] = None) -> None:
+        """Aim an interrupt at command ``target`` (default: the current one).
 
-        Async-signal-safe (a bare attribute store): callable from a signal
+        The stdin reader aims an ``-exec-interrupt`` line at the last
+        command it queued, which may not be dispatched yet; SIGINT aims at
+        the command being dispatched. The target only moves forward, and
+        an interrupt whose command already stopped is never honoured.
+        Async-signal-safe (bare attribute stores): callable from a signal
         handler, another thread, or a test.
         """
-        self._interrupt_requested = True
+        if target is None:
+            target = self._command
+        if target > self._interrupt_target:
+            self._interrupt_target = target
 
     # ------------------------------------------------------------------
     # Command dispatch
@@ -182,6 +183,7 @@ class ServerCore:
         pure echo, but it means a multiplexing client can talk to old and
         new servers with one framing.
         """
+        self._command += 1
         session, _ = protocol.split_session(line.strip())
         records = self._dispatch(line)
         if session is None:
@@ -208,6 +210,16 @@ class ServerCore:
     def _cmd_gdb_exit(self, command) -> List[str]:
         self._finished = True
         return [protocol.format_done()]
+
+    def _cmd_exec_interrupt(self, command) -> List[str]:
+        """An interrupt dispatched as a command: nothing runs, answer nothing.
+
+        Over stdio this handler is never reached — the reader thread turns
+        ``-exec-interrupt`` into :meth:`request_interrupt` and the
+        ``*stopped`` record of the interrupted command answers it.
+        Emitting nothing keeps a client's request/reply pairing intact.
+        """
+        return []
 
     # ------------------------------------------------------------------
     # Control-point numbering (enable/disable/delete addressing)
@@ -356,130 +368,59 @@ class ServerCore:
         return [protocol.format_done(view.query(text).to_dict())]
 
 
-class LineChannel:
-    """Line-oriented reads over a raw fd, with a non-blocking poll.
+def _read_lines(fd: int) -> Iterator[str]:
+    """The lines arriving on ``fd`` until EOF, a final unterminated one too.
 
-    The stdlib's buffered ``sys.stdin`` cannot be polled reliably — data
-    may be hidden in its Python-level buffer where ``select`` cannot see
-    it. Owning the buffer makes ``poll_line`` exact, which is what lets
-    the busy run-control loop notice an ``-exec-interrupt`` command that
-    arrived mid-run.
+    Reads the raw fd rather than ``sys.stdin``: a daemon thread blocked
+    inside a buffered reader would still hold its lock at interpreter
+    shutdown.
     """
-
-    def __init__(self, fd: int):
-        self._fd = fd
-        self._buffer = b""
-        self._eof = False
-
-    def poll_line(self) -> Optional[str]:
-        """A complete line if one is available right now, else ``None``."""
-        while b"\n" not in self._buffer and not self._eof:
-            try:
-                ready, _, _ = select.select([self._fd], [], [], 0)
-            except (OSError, ValueError):  # unpollable stdin: poll disabled
-                return None
-            if not ready:
-                return None
-            self._fill()
-        return self._take_line()
-
-    def wait_readable(
-        self, timeout: float, extra_fd: Optional[int] = None
-    ) -> bool:
-        """Sleep in ``select`` until the fd is readable (or timeout).
-
-        This is what lets an interrupt watcher *wait* for input instead
-        of spinning on :meth:`poll_line`: the select wakes the moment a
-        command byte (or a byte on ``extra_fd``, the self-pipe wake-up)
-        arrives, and costs nothing while the pipe is idle. Returns
-        whether a complete line is already buffered or the fd became
-        readable; ``False`` on a plain timeout.
-        """
-        if b"\n" in self._buffer or self._eof:
-            return True
-        fds = [self._fd] if extra_fd is None else [self._fd, extra_fd]
+    buffer = b""
+    while True:
         try:
-            ready, _, _ = select.select(fds, [], [], max(timeout, 0))
-        except (OSError, ValueError):  # unpollable stdin: degrade to sleep
-            return False
-        return bool(ready)
-
-    def read_line(self) -> Optional[str]:
-        """Blocking read of the next line; ``None`` at EOF."""
-        while True:
-            line = self._take_line()
-            if line is not None:
-                return line
-            if self._eof:
-                return None
-            self._fill()
-
-    def _fill(self) -> None:
-        chunk = os.read(self._fd, 4096)
+            chunk = os.read(fd, 65536)
+        except OSError:
+            chunk = b""
         if not chunk:
-            self._eof = True
-        else:
-            self._buffer += chunk
-
-    def _take_line(self) -> Optional[str]:
-        if b"\n" in self._buffer:
-            raw, self._buffer = self._buffer.split(b"\n", 1)
-            return raw.decode("utf-8", "replace")
-        if self._eof and self._buffer:
-            raw, self._buffer = self._buffer, b""
-            return raw.decode("utf-8", "replace")
-        return None
+            break
+        *lines, buffer = (buffer + chunk).split(b"\n")
+        for raw in lines:
+            yield raw.decode("utf-8", "replace")
+    if buffer:
+        yield buffer.decode("utf-8", "replace")
 
 
 class StdioServerLoop:
-    """Drives a :class:`ServerCore` over a line channel (stdin/stdout).
+    """Drives a :class:`ServerCore` over stdin/stdout.
 
-    Owns the pieces ``serve_stdio`` used to build inline: the greeting,
-    the pending-command queue, the interrupt poller, and the SIGINT
-    handler. Dispatch is loop-driven — the loop blocks in
-    :meth:`LineChannel.read_line` until a command arrives, hands it to
-    ``server.handle``, and emits the records. The interrupt poller is a
-    bound method so run loops can *sleep* on stdin between interrupt
-    checks (``poll_interrupt(timeout=..., wake_fd=...)``) instead of
-    spinning on a zero-timeout select.
+    One daemon thread owns stdin for the whole life of the server. It
+    queues every command line, numbered in order, and turns an
+    ``-exec-interrupt`` line (session-prefixed or not) into
+    ``server.request_interrupt(n)`` aimed at ``n``, the last command it
+    queued — so a busy run loop learns of the interrupt without reading
+    stdin itself. The main thread takes commands off the queue, hands
+    them to ``server.handle`` and prints the records. SIGINT aims at the
+    command being dispatched.
     """
 
-    def __init__(self, server: ServerCore, channel: LineChannel):
+    def __init__(self, server: ServerCore, fd: int):
         self.server = server
-        self.channel = channel
-        #: non-interrupt commands that arrived while a run loop was busy
-        #: (rare: only a command racing a natural stop); served before
-        #: reading the channel again.
-        self.pending: List[str] = []
-        server.interrupt_poll = self.poll_interrupt
+        self.fd = fd
+        self.commands: "queue.SimpleQueue[Optional[str]]" = (
+            queue.SimpleQueue()
+        )
+        self.queued = 0
 
-    def poll_interrupt(
-        self, timeout: float = 0.0, wake_fd: Optional[int] = None
-    ) -> bool:
-        """Check the channel for an ``-exec-interrupt``; optionally sleep.
-
-        With ``timeout > 0`` the call first sleeps in ``select`` until
-        the channel (or ``wake_fd``, a self-pipe the server pokes when
-        the run ends) becomes readable, so a watcher thread costs no CPU
-        while the inferior runs. Then every complete line available
-        right now is consumed: interrupts set the return flag, anything
-        else is queued as pending. Session-prefixed interrupts
-        (``s1-exec-interrupt``) count too — the busy run is the only
-        thing an interrupt can be aimed at on a single-session pipe.
-        """
-        if timeout > 0:
-            self.channel.wait_readable(timeout, wake_fd)
-        interrupted = False
-        while True:
-            line = self.channel.poll_line()
-            if line is None:
-                break
+    def read_commands(self) -> None:
+        """The reader thread: queue commands, deliver interrupts."""
+        for line in _read_lines(self.fd):
             _, body = protocol.split_session(line.strip())
             if body == "-exec-interrupt":
-                interrupted = True
-            elif line.strip():
-                self.pending.append(line)
-        return interrupted
+                self.server.request_interrupt(self.queued)
+            elif body:
+                self.queued += 1
+                self.commands.put(line)
+        self.commands.put(None)
 
     def install_sigint(self) -> None:
         """Route SIGINT to ``server.request_interrupt`` (best effort)."""
@@ -490,22 +431,17 @@ class StdioServerLoop:
         except (ValueError, OSError, AttributeError):  # not the main thread
             pass
 
-    def next_line(self) -> Optional[str]:
-        """The next command to dispatch; ``None`` at channel EOF."""
-        if self.pending:
-            return self.pending.pop(0)
-        return self.channel.read_line()
-
     def run(self, greeting: Dict[str, Any]) -> int:
         """Serve until EOF or ``-gdb-exit``; returns the exit status."""
         self.install_sigint()
         print(protocol.format_done(greeting), flush=True)
+        threading.Thread(
+            target=self.read_commands, name="mi-stdin-reader", daemon=True
+        ).start()
         while True:
-            line = self.next_line()
+            line = self.commands.get()
             if line is None:
                 break
-            if not line.strip():
-                continue
             for record in self.server.handle(line):
                 print(record, flush=True)
             if self.server._finished:
@@ -515,5 +451,4 @@ class StdioServerLoop:
 
 def serve_stdio(server: ServerCore, greeting: Dict[str, Any]) -> int:
     """Run ``server`` over stdin/stdout until EOF or ``-gdb-exit``."""
-    loop = StdioServerLoop(server, LineChannel(sys.stdin.fileno()))
-    return loop.run(greeting)
+    return StdioServerLoop(server, sys.stdin.fileno()).run(greeting)

@@ -659,7 +659,11 @@ class AsyncTracker:
                 self._absorb(record)
 
     async def interrupt(self) -> None:
-        """Fire-and-forget: pause the running inferior."""
+        """Fire-and-forget: pause the running inferior.
+
+        A no-op when nothing runs: the server aims the interrupt at the
+        command in flight and drops it once that command has stopped.
+        """
         await self._send("-exec-interrupt")
 
     # -- run control -----------------------------------------------------

@@ -10,10 +10,11 @@ Python tracking without sharing its address space, CPU or lifetime with
 the inferior.
 
 Run-control commands block in the hosted tracker (that is the tracker
-contract); a watcher thread polls stdin meanwhile, so an
-``-exec-interrupt`` (or SIGINT) arriving mid-run is delivered to the
-tracker's async-interrupt path and the command still answers with a
-``*stopped,reason="interrupted"`` record.
+contract). The stdio loop's reader thread keeps reading stdin meanwhile:
+an ``-exec-interrupt`` aimed at the running command (or a SIGINT) pokes
+the tracker's async-interrupt path, and the command still answers with a
+``*stopped,reason="interrupted"`` record. An interrupt aimed at a command
+that already stopped is dropped.
 
 Resource limits (``--limit-as``, ``--limit-cpu``, ``--limit-fsize``) are
 applied to this whole process before the server starts — the child *is*
@@ -44,17 +45,6 @@ from repro.mi import protocol
 from repro.mi.servercore import ServerCore, serve_stdio, stop_from_reason
 from repro.pytracker.tracker import PythonTracker
 from repro.subproc.limits import ResourceLimits
-
-#: Seconds the interrupt watcher *sleeps* in select per check while a
-#: control call blocks. The select wakes early the moment stdin (an
-#: ``-exec-interrupt`` line) or the wake pipe (the control call ending)
-#: becomes readable, so this bounds only the reaction to a bare SIGINT
-#: flag set by a non-main-thread path — it can be generous.
-_INTERRUPT_POLL_INTERVAL = 0.5
-
-#: Fallback cadence for zero-arg pollers (injected by tests) that cannot
-#: sleep on our behalf.
-_LEGACY_POLL_INTERVAL = 0.05
 
 
 class PythonDebugServer(ServerCore):
@@ -89,13 +79,26 @@ class PythonDebugServer(ServerCore):
         #: rlimits cannot be raised back, so the warm pool must not hand
         #: this child to another session.
         self.limits_applied = False
+        #: The command whose control call is running, ``None`` between
+        #: calls. ``_exec_lock`` makes the reader thread's poke and the
+        #: call's start and end atomic with respect to each other.
+        self._exec_command: Optional[int] = None
+        self._exec_lock = threading.Lock()
 
-    def request_interrupt(self) -> None:
-        super().request_interrupt()
-        # Also poke the tracker directly: safe from a signal handler (the
-        # flag store plus frame re-arming are async-tolerant), and faster
-        # than waiting for the watcher thread's next poll.
-        if self._running and self.tracker.get_exit_code() is None:
+    def request_interrupt(self, target: Optional[int] = None) -> None:
+        if target is None:
+            # SIGINT: the handler runs on the main thread, which may
+            # already hold the lock.
+            super().request_interrupt()
+            self._poke_tracker()
+            return
+        with self._exec_lock:
+            super().request_interrupt(target)
+            self._poke_tracker()
+
+    def _poke_tracker(self) -> None:
+        """Interrupt the hosted tracker if it runs the targeted command."""
+        if self._exec_command == self._interrupt_target:
             self.tracker._request_interrupt()
 
     # ------------------------------------------------------------------
@@ -127,7 +130,6 @@ class PythonDebugServer(ServerCore):
             self._running = False
             self._emitted_output = 0
             self._number = 0
-            self._interrupt_requested = False
         self.tracker.load_program(command.args[0], list(command.args[1:]))
         self.path = command.args[0]
         return [protocol.format_done({"file": self.tracker._program_abspath})]
@@ -151,17 +153,6 @@ class PythonDebugServer(ServerCore):
 
     def _cmd_exec_finish(self, command) -> List[str]:
         return self._guarded_exec(self.tracker.finish)
-
-    def _cmd_exec_interrupt(self, command) -> List[str]:
-        """A stale interrupt: the inferior stopped before it arrived.
-
-        The live case never reaches command dispatch — while a control
-        call is busy, ``-exec-interrupt`` is consumed by the stdin poller
-        (or delivered as SIGINT) and answered by the ``*stopped`` record
-        of the interrupted exec command. Emitting nothing keeps the stale
-        case from desynchronizing the client's request/reply pairing.
-        """
-        return []
 
     def _cmd_gdb_exit(self, command) -> List[str]:
         self.tracker.terminate()
@@ -208,72 +199,25 @@ class PythonDebugServer(ServerCore):
         return self._exec(control)
 
     def _exec(self, control) -> List[str]:
-        """Run one blocking control call under the interrupt watcher.
+        """Run one blocking control call as the interrupt target's host.
 
-        The watcher gets a wake pipe (self-pipe idiom): when the control
-        call returns, one byte written to it snaps the watcher out of its
-        stdin select immediately, so the reply is never delayed by the
-        watcher's poll interval.
+        A poke left on the tracker by an interrupt that arrived as the
+        previous call ended is cleared first; an interrupt already aimed
+        at this command (read before it was dispatched) is delivered.
         """
-        stop = threading.Event()
-        wake_read, wake_write = os.pipe()
-        watcher = threading.Thread(
-            target=self._watch_for_interrupt,
-            args=(stop, wake_read),
-            name="subproc-interrupt-watch",
-            daemon=True,
-        )
-        watcher.start()
+        with self._exec_lock:
+            self.tracker._interrupt_requested = False
+            self._exec_command = self._command
+            self._poke_tracker()
         try:
             control()
         finally:
-            stop.set()
-            try:
-                os.write(wake_write, b"x")
-            except OSError:  # pragma: no cover - wake pipe gone
-                pass
-            watcher.join()
-            os.close(wake_read)
-            os.close(wake_write)
+            with self._exec_lock:
+                self._exec_command = None
         records = [protocol.format_running()]
         records.extend(self._drain_output())
         records.append(protocol.format_stopped(self._stop_payload()))
         return records
-
-    def _watch_for_interrupt(
-        self, stop: threading.Event, wake_fd: int
-    ) -> None:
-        """Deliver a mid-run ``-exec-interrupt``/SIGINT to the tracker.
-
-        With the stdio loop's poller installed, each check *sleeps* in
-        ``select`` on stdin plus the wake pipe — zero CPU while the
-        inferior runs, instant wake-up when an interrupt line arrives or
-        the run ends. A zero-arg poller (tests inject those) degrades to
-        the old fixed-cadence poll.
-        """
-        poll = self.interrupt_poll
-        sleeping = poll is not None
-        while not stop.is_set():
-            pending = self._interrupt_requested
-            if poll is not None:
-                if sleeping:
-                    try:
-                        pending = (
-                            poll(
-                                timeout=_INTERRUPT_POLL_INTERVAL,
-                                wake_fd=wake_fd,
-                            )
-                            or pending
-                        )
-                    except TypeError:  # zero-arg poller: cannot sleep for us
-                        sleeping = False
-                if not sleeping:
-                    pending = poll() or pending
-            if pending:
-                self._interrupt_requested = False
-                self.tracker._request_interrupt()
-            if not sleeping:
-                stop.wait(_LEGACY_POLL_INTERVAL)
 
     # ------------------------------------------------------------------
     # Stop payloads and output streaming

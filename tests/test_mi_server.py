@@ -107,6 +107,15 @@ class TestLifecycle:
         assert records(server.handle("-gdb-exit"))[0].kind == "done"
         assert server._finished
 
+    def test_interrupt_after_the_stop_is_dropped(self, server):
+        """A late SIGINT is aimed at a command that already stopped."""
+        server.handle("-exec-run")
+        server.handle("-exec-step")
+        server.request_interrupt()
+        for _ in range(2):
+            payload = last_stopped(server.handle("-exec-step"))
+            assert payload["reason"] == "end-stepping-range"
+
     def test_crash_reports_error_in_stopped(self, write_program):
         server = make_server(
             write_program,

@@ -383,6 +383,27 @@ class TestServiceEndToEnd:
 
         run(scenario())
 
+    def test_interrupt_on_a_paused_session_is_dropped(self, write_program):
+        """An interrupt aimed at a command that already stopped is a no-op."""
+        path = write_program("prog.py", COUNTING_PY)
+
+        async def scenario():
+            service = await make_service()
+            try:
+                host, port = service.address
+                async with await ServiceClient.connect(host, port) as client:
+                    tracker = await client.open_tracker(path)
+                    await tracker.start()
+                    await tracker.interrupt()
+                    for _ in range(2):
+                        stop = await tracker.step()
+                        assert stop["reason"] == "end-stepping-range"
+                    await tracker.close()
+            finally:
+                await service.close()
+
+        run(scenario())
+
     def test_service_stats_and_unknown_session_error(self, write_program):
         path = write_program("prog.py", COUNTING_PY)
 

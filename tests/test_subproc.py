@@ -9,6 +9,9 @@ child-process behavior lives in ``tests/test_hostile_inferiors.py`` and
 the parity suites.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.mi.protocol import parse_record
@@ -90,6 +93,55 @@ class TestLifecycle:
     def test_stale_interrupt_emits_nothing(self, server):
         server.handle("-exec-run")
         assert server.handle("-exec-interrupt") == []
+
+    def test_interrupt_after_the_stop_is_dropped(self, server):
+        """A late SIGINT is aimed at a command that already stopped."""
+        server.handle("-exec-run")
+        server.handle("-exec-step")
+        server.request_interrupt()
+        for _ in range(2):
+            payload = last_stopped(server.handle("-exec-step"))
+            assert payload["reason"] == "end-stepping-range"
+
+
+LONG_LOOP_PY = """\
+total = 0
+for i in range(10 ** 7):
+    total = total + i
+"""
+
+
+def test_interrupts_aimed_at_even_commands_never_stop_odd_ones(write_program):
+    """Stress: interrupt pokes from other threads race each exec's start
+    and end. Threads aim only at even-numbered commands, so a poke that
+    leaked past its command's end would stop an odd-numbered step."""
+    server = make_server(write_program, LONG_LOOP_PY, "loop.py")
+    server.handle("-exec-run")
+    done = threading.Event()
+
+    def aim():
+        while not done.is_set():
+            target = server._command
+            if target % 2 == 0:
+                server.request_interrupt(target)
+
+    threads = [threading.Thread(target=aim) for _ in range(4)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for _ in range(200):
+            payload = last_stopped(server.handle("-exec-step"))
+            if server._command % 2:
+                assert payload["reason"] == "end-stepping-range"
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        sys.setswitchinterval(previous)
+        server.handle("-gdb-exit")
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestControlPoints:
