@@ -413,6 +413,143 @@ def test_keyframe_interval_ablation(benchmark, write_program, interval):
 
 
 # ---------------------------------------------------------------------------
+# Recorded-pause capture: one pass from live objects to the timeline tree
+# ---------------------------------------------------------------------------
+
+#: The baseline inferior the ROADMAP measures recording on: ~2,700 line
+#: events over a 40-element list global and a 30-entry dict global.
+BASELINE_PROGRAM = """\
+data = list(range(40))
+table = {"k%d" % i: i for i in range(30)}
+total = 0
+for i in range(900):
+    total += data[i % 40]
+    table["k%d" % (i % 30)] = total
+"""
+
+#: Every global is rebound at every pause: nothing is reusable.
+CHURN_PROGRAM = "".join(
+    f"a, b, c, d, e = {n}, 'v{n}', [{n}, {n + 1}], {{'k': {n}}}, ({n}, 'x')\n"
+    for n in range(300)
+)
+
+#: Cycles everywhere: every node's encoding holds a cut, so each later
+#: encounter is serialized again.
+LINKED_PROGRAM = """\
+class Node:
+    def __init__(self, value):
+        self.value = value
+        self.prev = None
+        self.next = None
+
+head = Node(0)
+tail = head
+for value in range(1, 30):
+    node = Node(value)
+    node.prev = tail
+    tail.next = node
+    tail = node
+for step in range(100):
+    head.value = step
+    tail.value = -step
+"""
+
+
+def _step_seconds(path, record):
+    """Mean wall time of one step() to exit, recorded or not."""
+    tracker = PythonTracker()
+    tracker.load_program(path)
+    if record:
+        tracker.enable_recording()
+    tracker.start()
+    steps = 0
+    start = time.perf_counter()
+    while tracker.get_exit_code() is None:
+        tracker.step()
+        steps += 1
+    elapsed = time.perf_counter() - start
+    tracker.terminate()
+    return elapsed / steps
+
+
+def test_recorded_step_within_bound_of_unrecorded(benchmark, write_program):
+    """A recorded step() encodes the live objects straight into the
+    timeline tree, reusing last pause's dicts for what did not change.
+    On the ROADMAP baseline inferior it measured 6.9-8.0x (median 7.6x)
+    an unrecorded step() on Python 3.11 (the capture + to_dict + diff path
+    it replaced: ~47x); the bound is 1.5x the 7.6x median. ROADMAP's <=5x
+    target is not met yet."""
+    path = write_program("baseline.py", BASELINE_PROGRAM)
+    _step_seconds(path, record=True)  # warm-up
+
+    def measure():
+        plain, recorded = [], []
+        for _ in range(3):
+            plain.append(_step_seconds(path, record=False))
+            recorded.append(_step_seconds(path, record=True))
+        return statistics.median(plain), statistics.median(recorded)
+
+    plain, recorded = benchmark.pedantic(measure, rounds=1, iterations=1)
+    factor = recorded / plain
+    print(
+        f"\nstep() unrecorded {plain * 1e6:.0f} us vs recorded "
+        f"{recorded * 1e6:.0f} us -> {factor:.1f}x (must stay within 11.4x)"
+    )
+    assert factor <= 11.4
+
+
+def _record_costs(path):
+    """Per-pause cost of the recording capture path against the reference
+    path (``StateSnapshot.capture`` + ``to_dict`` + ``diff_tree``), both
+    timed at every pause of one run, in alternating order."""
+    from repro.core.timeline import StateSnapshot, diff_tree
+
+    tracker = PythonTracker()
+    tracker.load_program(path)
+    tracker.start()
+    fast = reference = 0.0
+    last_fast = last_reference = None
+    pauses = 0
+    while tracker.get_exit_code() is None:
+        for turn in ((0, 1) if pauses % 2 else (1, 0)):
+            start = time.perf_counter()
+            if turn:
+                tree = tracker._capture_tree()
+                if last_fast is not None:
+                    diff_tree(last_fast, tree)
+                last_fast = tree
+                fast += time.perf_counter() - start
+            else:
+                tree = StateSnapshot.capture(tracker).to_dict()
+                if last_reference is not None:
+                    diff_tree(last_reference, tree)
+                last_reference = tree
+                reference += time.perf_counter() - start
+        pauses += 1
+        tracker.step()
+    tracker.terminate()
+    return fast / pauses, reference / pauses
+
+
+@pytest.mark.parametrize("program", ["churn", "linked"])
+def test_recording_capture_worst_case_within_1p1x(benchmark, write_program, program):
+    """Reuse must never cost more than it saves: where every global
+    changes at every pause, or where every encoding holds a cycle cut,
+    the recording capture stays within 1.1x of the reference path."""
+    source = {"churn": CHURN_PROGRAM, "linked": LINKED_PROGRAM}[program]
+    path = write_program(f"{program}.py", source)
+    fast, reference = benchmark.pedantic(
+        _record_costs, args=(path,), rounds=1, iterations=1
+    )
+    factor = fast / reference
+    print(
+        f"\n{program}: recording capture {fast * 1e6:.0f} us vs reference "
+        f"{reference * 1e6:.0f} us per pause -> {factor:.2f}x (must stay within 1.1x)"
+    )
+    assert factor <= 1.1
+
+
+# ---------------------------------------------------------------------------
 # Subprocess isolation overhead
 # ---------------------------------------------------------------------------
 

@@ -451,13 +451,15 @@ def value_from_dict(data: Dict[str, Any]) -> Value:
 
 
 class _HashableValueKey(Value):
-    """A :class:`Value` usable as a dict key after deserialization.
+    """A :class:`Value` usable as a DICT content key.
 
-    In-process trackers build DICT contents keyed by the live ``Value``
-    objects (identity hashing works there). After a round-trip through JSON
-    the keys are fresh objects, so we give them structural hashing based on
-    the rendered form, which is stable and cheap for the small dictionaries
-    found in teaching programs.
+    ``Value`` hashes by object identity, which is useless for a key that
+    was rebuilt (decoded from JSON, or wrapped afresh at each capture).
+    This wrapper gives keys a structural identity instead: the address,
+    when the value has one — two distinct key objects that *render* alike
+    (``{K(): 1, K(): 2}``) stay two entries — and the rendered form only
+    for address-less values. It is the one key wrapper of the model;
+    every capture and decode path builds DICT keys with :meth:`wrap`.
     """
 
     @classmethod
@@ -471,16 +473,19 @@ class _HashableValueKey(Value):
         wrapped.truncated = value.truncated
         return wrapped
 
-    def __hash__(self) -> int:  # pragma: no cover - trivial
-        return hash((self.abstract_type, self.render()))
+    def __hash__(self) -> int:
+        return hash(_key_identity(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Value):
             return NotImplemented
-        return (
-            self.abstract_type is other.abstract_type
-            and self.render() == other.render()
-        )
+        return _key_identity(self) == _key_identity(other)
+
+
+def _key_identity(value: Value) -> Tuple[AbstractType, Any]:
+    if value.address is not None:
+        return (value.abstract_type, value.address)
+    return (value.abstract_type, value.render())
 
 
 def variable_to_dict(variable: Variable) -> Dict[str, Any]:

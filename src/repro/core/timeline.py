@@ -3,24 +3,31 @@
 The state model of Section II-B2 was designed to be serializable so that
 state can cross process boundaries; this module pushes that one step
 further and makes it *navigable in time*. A :class:`TimelineRecorder`
-attaches to any tracker and, at every pause, captures a
-:class:`StateSnapshot` — an immutable, serializable bundle of
-frames/globals/position/stdout/exit state — into a :class:`Timeline`.
+attaches to any tracker and, at every pause, appends the tracker's state
+— frames/globals/position/stdout/exit state, the tree
+:meth:`StateSnapshot.to_dict` encodes — to a :class:`Timeline`.
 
-Storage is delta-compressed: each snapshot serializes to a JSON tree
-(built on :func:`repro.core.state.frame_to_dict` and friends) and the
-timeline stores a structural diff against the previous tree, with a full
-*keyframe* every ``keyframe_interval`` snapshots and an optional bounded
-ring buffer (whole keyframe-led segments are evicted from the front, so
-reconstruction never needs an evicted base).
+The recorder gets that tree from one hook, ``Tracker._capture_tree()``.
+Its default captures a :class:`StateSnapshot` and encodes it, which is
+what the mini-C, GDB and replay backends do. The Python backends override
+it to encode the live objects straight into the tree
+(:class:`repro.pytracker.introspect.TreeEncoder`), reusing the previous
+tree's dicts for whatever did not change.
 
-On top of a timeline the tracker base class implements the reverse
-control calls ``backward_step`` / ``backward_next`` / ``backward_finish``
-/ ``backward_resume`` / ``goto`` — backend-agnostically, by replaying
-recorded snapshots instead of touching the (forward-only) inferior — and
+Storage is delta-compressed: the timeline stores a structural diff
+(:func:`diff_tree`) of each tree against the previous one — a subtree
+that is the very object of the previous tree costs one identity test —
+with a full *keyframe* every ``keyframe_interval`` snapshots and an
+optional bounded ring buffer (whole keyframe-led segments are evicted
+from the front, so reconstruction never needs an evicted base).
+
+Navigation over a recording (``goto`` and the ``backward_*`` calls of
+:class:`repro.core.tracestore.TimelineView`) replays recorded snapshots
+instead of touching the (forward-only) inferior, so it works on every
+backend alike; :func:`scan_timeline` is the move they share.
 :class:`repro.core.replay.ReplayTracker` exposes a saved timeline behind
-the full tracker API, generalizing the Python Tutor replay tracker
-(PT traces are just one timeline *codec*; see :func:`load_timeline`).
+the full tracker API, generalizing the Python Tutor replay tracker (PT
+traces are just one timeline *codec*; see :func:`load_timeline`).
 """
 
 from __future__ import annotations
@@ -255,7 +262,7 @@ class StateSnapshot:
             stdout=stdout,
             exit_code=exit_code,
             reason=reason,
-            event=_event_for_reason(reason),
+            event=event_for_reason(reason),
             func_name=frame.name,
             thread=thread,
         )
@@ -287,26 +294,22 @@ class StateSnapshot:
 
     def to_dict(self) -> Dict[str, Any]:
         """Encode as a JSON-serializable tree (the delta-codec substrate)."""
-        encoded = {
-            "frame": frame_to_dict(self.frame) if self.frame else None,
-            "globals": {
+        return snapshot_tree(
+            frame_to_dict(self.frame) if self.frame else None,
+            {
                 name: variable_to_dict(variable)
                 for name, variable in self.globals.items()
             },
-            "filename": self.filename,
-            "line": self.line,
-            "depth": self.depth,
-            "stdout": self.stdout,
-            "exit_code": self.exit_code,
-            "reason": _reason_to_dict(self.reason),
-            "event": self.event,
-            "func_name": self.func_name,
-        }
-        if self.thread is not None:
-            # Only-when-set, like Value.truncated: single-threaded
-            # recordings keep their seed-era byte layout.
-            encoded["thread"] = self.thread
-        return encoded
+            filename=self.filename,
+            line=self.line,
+            depth=self.depth,
+            stdout=self.stdout,
+            exit_code=self.exit_code,
+            reason=self.reason,
+            event=self.event,
+            func_name=self.func_name,
+            thread=self.thread,
+        )
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StateSnapshot":
@@ -342,7 +345,43 @@ class StateSnapshot:
         return f"StateSnapshot({where}, depth={self.depth}, event={self.event!r})"
 
 
-def _event_for_reason(reason: Optional[PauseReason]) -> str:
+def snapshot_tree(
+    frame_tree: Optional[Dict[str, Any]],
+    globals_tree: Dict[str, Any],
+    *,
+    filename: str,
+    line: Optional[int],
+    depth: int,
+    stdout: str,
+    exit_code: Optional[int],
+    reason: Optional[PauseReason],
+    event: str,
+    func_name: Optional[str],
+    thread: Optional[int],
+) -> Dict[str, Any]:
+    """The tree :meth:`StateSnapshot.to_dict` stores, around an already
+    encoded frame chain and globals (see :meth:`Tracker._capture_tree`)."""
+    encoded = {
+        "frame": frame_tree,
+        "globals": globals_tree,
+        "filename": filename,
+        "line": line,
+        "depth": depth,
+        "stdout": stdout,
+        "exit_code": exit_code,
+        "reason": _reason_to_dict(reason),
+        "event": event,
+        "func_name": func_name,
+    }
+    if thread is not None:
+        # Only-when-set, like Value.truncated: single-threaded
+        # recordings keep their seed-era byte layout.
+        encoded["thread"] = thread
+    return encoded
+
+
+def event_for_reason(reason: Optional[PauseReason]) -> str:
+    """The coarse snapshot event kind of a pause reason."""
     if reason is None:
         return EVENT_LINE
     if reason.type is PauseReasonType.CALL:
@@ -538,7 +577,13 @@ class Timeline:
 
     def append(self, snapshot: StateSnapshot) -> int:
         """Record one snapshot; returns its (stable) global index."""
-        tree = snapshot.to_dict()
+        return self.append_tree(snapshot.to_dict())
+
+    def append_tree(self, tree: Dict[str, Any]) -> int:
+        """Record one snapshot given as its :meth:`StateSnapshot.to_dict`
+        tree; returns its (stable) global index. The tree is stored as is
+        and must not be mutated afterwards: it may share unchanged
+        subtrees, by identity, with the previous one."""
         previous = self._last_tree
         last_segment = self._segments[-1] if self._segments else None
         patch: Optional[Any] = None
@@ -762,7 +807,7 @@ class TimelineRecorder:
         """Capture and append the tracker's current state; return its index."""
         if not self.timeline.source:
             self._capture_source()
-        return self.timeline.append(StateSnapshot.capture(self.tracker))
+        return self.timeline.append_tree(self.tracker._capture_tree())
 
     def _capture_source(self) -> None:
         if not self.timeline.program:

@@ -612,6 +612,13 @@ class Tracker:
             raise NotStartedError("call start() first")
         return StateSnapshot.capture(self)
 
+    def _capture_tree(self) -> Dict[str, Any]:
+        """The current state as the tree a timeline stores: what
+        ``StateSnapshot.capture(self).to_dict()`` returns. Recording calls
+        this at every recorded pause; a backend may produce the same tree
+        more cheaply (the Python trackers encode live objects directly)."""
+        return StateSnapshot.capture(self).to_dict()
+
     def get_current_frame(self) -> Frame:
         """The innermost frame of the paused inferior (parents linked)."""
         replayed = self._replay_snapshot()

@@ -68,10 +68,12 @@ from repro.core.threads import (
     TaskInfo,
     ThreadInfo,
 )
+from repro.core.timeline import event_for_reason, snapshot_tree
 from repro.core.tracker import Tracker
 from repro.pytracker.introspect import (
     CaptureLimits,
     Snapshotter,
+    TreeEncoder,
     build_frame_chain,
     build_globals,
 )
@@ -183,6 +185,8 @@ class PythonTracker(Tracker):
         self._capture_output = capture_output
         self._snapshot_depth = snapshot_depth
         self._capture_limits = capture_limits
+        #: Encodes recorded pauses, reusing what the last one encoded.
+        self._tree_encoder = TreeEncoder(max_depth=snapshot_depth, limits=capture_limits)
         self._terminate_grace = terminate_grace
         self._interrupt_requested = False
         self._output = RingTextBuffer(output_limit)
@@ -1012,6 +1016,34 @@ class PythonTracker(Tracker):
 
     def _get_global_variables(self) -> Dict[str, Variable]:
         return build_globals(self._globals, self._snapshotter())
+
+    def _capture_tree(self) -> Dict[str, Any]:
+        """A recorded pause, encoded straight from the live objects.
+
+        Equal to ``StateSnapshot.capture(self).to_dict()``, the path every
+        other lifecycle point (rewound, terminated) still takes.
+        """
+        frame = self._paused_py_frame
+        if self._replay_cursor is not None or self._exit_code is not None or frame is None:
+            return super()._capture_tree()
+        reason = self._pause_reason
+        frame_tree, globals_tree = self._tree_encoder.encode(
+            frame, self._is_inferior_frame, self._paused_thread_index, self._globals
+        )
+        thread = reason.thread if reason is not None else None
+        return snapshot_tree(
+            frame_tree,
+            globals_tree,
+            filename=frame.f_code.co_filename,
+            line=frame.f_lineno,
+            depth=frame_tree["depth"],
+            stdout=self._output.getvalue(),
+            exit_code=None,
+            reason=reason,
+            event=event_for_reason(reason),
+            func_name=frame_tree["name"],
+            thread=thread if thread is not None else frame_tree.get("thread"),
+        )
 
     def _get_position(self) -> Tuple[str, Optional[int]]:
         frame = self._paused_py_frame

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ProgramLoadError
-from repro.core.state import AbstractType, Frame, Location, Value, Variable
+from repro.core.state import (
+    AbstractType,
+    Frame,
+    Location,
+    Value,
+    Variable,
+    _HashableValueKey,
+)
 
 #: PT event names for the execution points we record.
 EVENT_STEP = "step_line"
@@ -354,7 +361,7 @@ class PTDecoder:
             self._memo[key] = value
             content: Dict[Value, Value] = {}
             for pair in encoded[1:]:
-                key_value = _KeyedValue.wrap(self.decode(pair[0], Location.HEAP))
+                key_value = _HashableValueKey.wrap(self.decode(pair[0], Location.HEAP))
                 content[key_value] = self.decode(pair[1], Location.HEAP)
             value.content = content
             return value
@@ -373,31 +380,6 @@ class PTDecoder:
             }
             return value
         raise ProgramLoadError(f"unknown PT heap tag: {tag!r}")
-
-
-class _KeyedValue(Value):
-    """Structurally hashable Value for decoded DICT keys."""
-
-    @classmethod
-    def wrap(cls, value: Value) -> "_KeyedValue":
-        wrapped = cls.__new__(cls)
-        wrapped.abstract_type = value.abstract_type
-        wrapped.content = value.content
-        wrapped.location = value.location
-        wrapped.address = value.address
-        wrapped.language_type = value.language_type
-        return wrapped
-
-    def __hash__(self) -> int:
-        return hash((self.abstract_type, self.render()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Value):
-            return NotImplemented
-        return (
-            self.abstract_type is other.abstract_type
-            and self.render() == other.render()
-        )
 
 
 def step_to_frame_chain(step: PTStep) -> Frame:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.state import AbstractType, Location
+from repro.core.timeline import StateSnapshot
 from repro.pytracker.introspect import Snapshotter, build_variable
 from repro.pytracker.tracker import PythonTracker
 
@@ -92,6 +93,30 @@ class TestVariableModel:
         assert table.abstract_type is AbstractType.DICT
         rendered = {k.render(): v.render() for k, v in table.content.items()}
         assert rendered == {"'a'": "1", "2": "'b'"}
+
+    def test_dict_keys_rendering_alike_stay_distinct(self, write_program):
+        tracker = PythonTracker()
+        tracker.load_program(
+            write_program(
+                "keys.py", "class K:\n    pass\n\nd = {K(): 1, K(): 2}\ndone = 1\n"
+            )
+        )
+        tracker.break_before_line(5)
+        tracker.start()
+        tracker.resume()
+        try:
+            captured = [
+                tracker.get_global_variables()["d"].value.content,
+                tracker.snapshot().globals["d"].value.content,
+            ]
+            tree = tracker.snapshot().to_dict()
+        finally:
+            tracker.terminate()
+        decoded = StateSnapshot.from_dict(tree).globals["d"].value.content
+        for table in captured + [decoded]:
+            assert [k.render() for k in table.content] == ["{}", "{}"]
+            assert sorted(v.content for v in table.content.values()) == [1, 2]
+        assert StateSnapshot.from_dict(tree).to_dict() == tree
 
     def test_sharing_is_preserved_within_a_pause(self, paused):
         variables = paused.get_current_frame().variables
