@@ -8,10 +8,10 @@ module makes the promise enforceable, the same way for every backend:
 
 - :class:`Deadline` — a monotonic-clock budget threaded through a control
   call. When it expires the backend *interrupts* the inferior (settrace
-  async-pause flag for the Python tracker, ``-exec-interrupt`` / SIGINT
-  for the debug server) so the call still returns with the tracker paused;
-  :class:`repro.core.errors.ControlTimeout` is raised only when the
-  interrupt itself fails to land within the grace period.
+  async-pause flag for the Python tracker, ``-exec-interrupt`` down the
+  pipe for the debug server) so the call still returns with the tracker
+  paused; :class:`repro.core.errors.ControlTimeout` is raised only when
+  the interrupt itself fails to land within the grace period.
 - :class:`BackoffPolicy` + :func:`run_with_recovery` — bounded exponential
   backoff around backend restarts. Exhausted retries degrade to a terminal
   ``"unavailable"`` health state

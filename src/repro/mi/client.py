@@ -16,9 +16,9 @@ Robustness additions over the seed client:
   :class:`repro.core.errors.ServerCrashError` carrying the exit code and
   the last ~20 stderr lines;
 - a control call whose deadline expires interrupts the inferior
-  (``-exec-interrupt`` down the pipe, plus ``SIGINT`` as a belt-and-braces
-  fallback) and keeps waiting one grace period for the ``*stopped``
-  record; only if that also fails does it raise
+  (``-exec-interrupt`` down the pipe, which the server's stdin reader
+  takes even while a command runs) and keeps waiting one grace period for
+  the ``*stopped`` record; only if that also fails does it raise
   :class:`repro.core.errors.ControlTimeout`;
 - :meth:`MIClient.restart` respawns the server subprocess in place, so the
   supervision layer (see :mod:`repro.core.supervision`) can recover from
@@ -42,12 +42,10 @@ from repro.core.errors import (
 )
 from repro.core.supervision import Deadline
 from repro.mi import protocol
-from repro.mi.transport import (  # noqa: F401  (re-exported: historic home)
-    _EOF,
-    SPAWN_TIMEOUT as _SPAWN_TIMEOUT,
-    STDERR_TAIL_LINES as _STDERR_TAIL,
+from repro.mi.transport import (
+    SPAWN_TIMEOUT,
     PipeTransport,
-    default_transport_factory as _default_transport_factory,
+    default_transport_factory,
 )
 
 
@@ -70,7 +68,7 @@ class MIClient:
         transport_factory: Optional[Callable[[], PipeTransport]] = None,
     ):
         self.program = program
-        self._transport_factory = transport_factory or _default_transport_factory(
+        self._transport_factory = transport_factory or default_transport_factory(
             program, list(args or [])
         )
         #: all inferior output seen so far, in order
@@ -88,7 +86,7 @@ class MIClient:
 
     def _spawn(self) -> None:
         self._transport = self._transport_factory()
-        greeting = self._read_record(Deadline(_SPAWN_TIMEOUT))
+        greeting = self._read_record(Deadline(SPAWN_TIMEOUT), interrupts=False)
         if greeting.kind == "error":
             self.close()
             raise TrackerError(
@@ -129,30 +127,34 @@ class MIClient:
     # ------------------------------------------------------------------
 
     def _read_record(
-        self, deadline: Optional[Deadline] = None
+        self, deadline: Optional[Deadline], interrupts: bool
     ) -> protocol.Record:
-        """Read one record; honor ``deadline`` without interrupting."""
+        """Read one record within ``deadline``.
+
+        With ``interrupts``, the deadline's expiry first interrupts the
+        inferior, and the grace period then bounds the wait for its stop.
+        """
         while True:
             timeout = None
             if deadline is not None:
-                timeout = deadline.grace_remaining()
-                if timeout <= 0:
-                    raise ControlTimeout(
-                        "the debug server did not answer within "
-                        f"{deadline.timeout + deadline.grace:.2f}s"
-                    )
+                if interrupts and not deadline.interrupt_requested:
+                    timeout = deadline.remaining()
+                    if timeout <= 0:
+                        deadline.interrupt_requested = True
+                        self._transport.interrupt()
+                if not interrupts or deadline.interrupt_requested:
+                    timeout = deadline.grace_remaining()
+                    if timeout <= 0:
+                        raise ControlTimeout(
+                            f"the inferior did not pause within {deadline.timeout}s "
+                            "and the interrupt went unanswered for the grace period"
+                            if interrupts
+                            else "the debug server did not answer within "
+                            f"{deadline.timeout + deadline.grace:.2f}s"
+                        )
             line = self._transport.recv_line(timeout=timeout)
-            if line is None:
-                continue  # timed out this slice; recheck the deadline
-            return protocol.parse_record(line)
-
-    def _write_command(
-        self,
-        name: str,
-        args: Optional[List[str]] = None,
-        options: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self._transport.send_line(protocol.format_command(name, args, options))
+            if line is not None:
+                return protocol.parse_record(line)
 
     # ------------------------------------------------------------------
     # Command API
@@ -173,19 +175,7 @@ class MIClient:
                 the supervision layer).
             ControlTimeout: the deadline expired with no reply.
         """
-        self._write_command(name, args, options)
-        while True:
-            record = self._read_record(deadline)
-            if record.kind == "stream":
-                self.console.append(record.payload)
-            elif record.kind == "notify":
-                self.notifications.append(record)
-            elif record.kind == "done":
-                return record.payload
-            elif record.kind == "error":
-                raise TrackerError(str(record.payload))
-            else:
-                raise ProtocolError(f"unexpected record {record.kind} for {name}")
+        return self._reply(name, args, options, deadline, exec_command=False)
 
     def run_control(
         self,
@@ -204,55 +194,44 @@ class MIClient:
         holds); ``ControlTimeout`` is raised only when the interrupt also
         goes unanswered for the grace period.
         """
-        self._write_command(name, args, options)
-        # The server's handle() is pure: it buffers all records (the
-        # ^running included) until the advance loop stops, so even this
-        # first read must be able to interrupt a busy inferior.
-        record = self._read_running_record(deadline)
-        if record.kind == "error":
-            raise TrackerError(str(record.payload))
-        if record.kind != "running":
-            raise ProtocolError(f"expected ^running, got {record.kind}")
+        return self._reply(name, args, options, deadline, exec_command=True)
+
+    def _reply(
+        self,
+        name: str,
+        args: Optional[List[str]],
+        options: Optional[Dict[str, Any]],
+        deadline: Optional[Deadline],
+        exec_command: bool,
+    ) -> Any:
+        """Send one command; read its reply up to the record that ends it.
+
+        An exec reply opens with ``^running``. The server buffers all of a
+        run's records until it stops, so even the first read must be able
+        to interrupt a busy inferior.
+        """
+        self._transport.send_line(protocol.format_command(name, args, options))
+        running = False
         while True:
-            record = self._read_running_record(deadline)
-            if record.kind == "stream":
+            record = self._read_record(deadline, interrupts=exec_command)
+            if exec_command and not running and record.kind != "error":
+                if record.kind != "running":
+                    raise ProtocolError(f"expected ^running, got {record.kind}")
+                running = True
+            elif protocol.ends_reply(record, exec_command):
+                if record.kind != "error":
+                    return record.payload
+                if running:
+                    raise ProtocolError(f"unexpected ^error while running {name}")
+                raise TrackerError(str(record.payload))
+            elif record.kind == "stream":
                 self.console.append(record.payload)
             elif record.kind == "notify":
                 self.notifications.append(record)
-            elif record.kind == "stopped":
-                return record.payload
-            elif record.kind == "done":
-                # A stale interrupt the server acknowledged after stopping
-                # on its own; nothing to do.
-                continue
-            else:
-                raise ProtocolError(f"unexpected record {record.kind} while running")
-
-    def _read_running_record(
-        self, deadline: Optional[Deadline]
-    ) -> protocol.Record:
-        """Read one record while the inferior runs; interrupt on expiry."""
-        while True:
-            timeout = None
-            if deadline is not None:
-                if not deadline.interrupt_requested:
-                    remaining = deadline.remaining()
-                    if remaining > 0:
-                        timeout = remaining
-                    else:
-                        deadline.interrupt_requested = True
-                        self._transport.interrupt()
-                if deadline.interrupt_requested:
-                    timeout = deadline.grace_remaining()
-                    if timeout <= 0:
-                        raise ControlTimeout(
-                            "the inferior did not pause within "
-                            f"{deadline.timeout}s and the interrupt went "
-                            "unanswered for the grace period"
-                        )
-            line = self._transport.recv_line(timeout=timeout)
-            if line is not None:
-                return protocol.parse_record(line)
+            elif not (running and record.kind == "done"):
+                # (a ^done mid-run is a stale interrupt the server
+                # acknowledged after stopping on its own: tolerated)
+                raise ProtocolError(f"unexpected record {record.kind} for {name}")
 
     # ------------------------------------------------------------------
     # Teardown

@@ -184,6 +184,25 @@ class Record:
     session: Optional[str] = None
 
 
+#: MI commands whose reply is a run-control dialogue (``^running`` then
+#: eventually ``*stopped``) rather than a single ``^done``/``^error``.
+EXEC_COMMANDS = frozenset(
+    ["-exec-run", "-exec-continue", "-exec-step", "-exec-next", "-exec-finish"]
+)
+
+
+def ends_reply(record: Record, exec_command: bool) -> bool:
+    """Whether ``record`` is the last record of a command's reply.
+
+    ``^error`` always is. Otherwise ``*stopped`` ends an exec command's
+    reply and ``^done`` ends any other command's — so a stale interrupt
+    ack (``^done``) read during a run does not end it.
+    """
+    if record.kind == "error":
+        return True
+    return record.kind == ("stopped" if exec_command else "done")
+
+
 def format_done(payload: Any = None) -> str:
     if payload is None:
         return "^done"

@@ -4,7 +4,7 @@ Two implementations share one contract — framing (one record per line),
 liveness (a dead server is reaped and diagnosed as a
 :class:`~repro.core.errors.ServerCrashError` carrying the exit code and a
 bounded stderr tail), and interrupt delivery (``-exec-interrupt`` down the
-pipe plus ``SIGINT`` as a belt-and-braces fallback):
+pipe, which the server's stdin reader takes even while a command runs):
 
 - :class:`PipeTransport` — the blocking transport behind
   :class:`repro.mi.client.MIClient`. stdout and stderr are drained by
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import signal
 import subprocess
 import sys
 import threading
@@ -213,16 +212,8 @@ class PipeTransport:
         return line
 
     def interrupt(self) -> None:
-        """Ask the busy server to pause its inferior (async-signal style)."""
-        try:
-            self.send_line(protocol.format_command("-exec-interrupt"))
-        except ServerCrashError:
-            raise
-        if hasattr(signal, "SIGINT"):
-            try:
-                self._process.send_signal(signal.SIGINT)
-            except (ProcessLookupError, OSError):  # already gone
-                pass
+        """Ask the busy server to pause its inferior."""
+        self.send_line(protocol.format_command("-exec-interrupt"))
 
     # -- teardown --------------------------------------------------------
 
@@ -368,13 +359,8 @@ class AsyncPipeTransport:
                 pass
 
     async def interrupt(self) -> None:
-        """Ask the busy server to pause its inferior (async-signal style)."""
+        """Ask the busy server to pause its inferior."""
         await self.send_line(protocol.format_command("-exec-interrupt"))
-        if hasattr(signal, "SIGINT"):
-            try:
-                self._process.send_signal(signal.SIGINT)
-            except (ProcessLookupError, OSError):  # already gone
-                pass
 
     # -- teardown --------------------------------------------------------
 

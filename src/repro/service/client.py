@@ -1,12 +1,20 @@
 """The asyncio client: many trackers over one service connection.
 
-:class:`ServiceClient` owns the socket and one reader task that demuxes
-incoming records by their session-id prefix into per-session queues.
-:class:`AsyncTracker` is the per-session facade over one of those queues
-— the tracker control interface of the paper (``start`` / ``resume`` /
-``break_before_line`` / ``get_global_variables`` ...) with every control
-call a coroutine, so a grading script can drive dozens of inferiors
-concurrently from one thread::
+:class:`ServiceClient` owns the socket, one reader task and one request
+loop. The reader files each incoming record under its session-id prefix
+into that id's queue; ``None`` keys the id-less control channel (opens,
+stats). It never creates a queue: a session-tagged record with no queue
+has no waiter and is dropped. The request loop sends one command line
+and awaits the record that ends its reply
+(:func:`repro.mi.protocol.ends_reply`) on the queue of the id the line
+carries. A live tracker's queue lives as long as the tracker; any other
+id gets a queue for that one request, so an unknown session's ``^error``
+reaches its caller at once. :class:`AsyncTracker` is the per-session
+facade over that loop — the tracker control interface of the paper
+(``start`` / ``resume`` / ``break_before_line`` /
+``get_global_variables`` ...) with every control call a coroutine, so a
+grading script can drive dozens of inferiors concurrently from one
+thread::
 
     client = await ServiceClient.connect(host, port)
     a = await client.open_tracker("submission_a.py")
@@ -128,8 +136,10 @@ class ServiceClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional["asyncio.Task[None]"] = None
-        self._queues: Dict[str, "asyncio.Queue"] = {}
-        self._control: "asyncio.Queue" = asyncio.Queue()
+        #: reply queues by session id; ``None`` is the control channel
+        self._queues: Dict[Optional[str], "asyncio.Queue"] = {
+            None: asyncio.Queue()
+        }
         #: serializes id-less request/reply (opens, stats) — their replies
         #: are only attributable by arrival order
         self._control_lock = asyncio.Lock()
@@ -257,8 +267,8 @@ class ServiceClient:
             # waiters parked (the service holds their sessions and will
             # flush the backlog after re-attach).
             self._ready.clear()
-            stale_control = self._control
-            self._control = asyncio.Queue()
+            stale_control = self._queues[None]
+            self._queues[None] = asyncio.Queue()
             stale_control.put_nowait(_CLOSED)
             if self._reconnect_policy is None:
                 break
@@ -285,10 +295,9 @@ class ServiceClient:
             pass
 
     def _demux(self, record: protocol.Record) -> None:
-        if record.session is None:
-            self._control.put_nowait(record)
-        else:
-            self._queue_for(record.session).put_nowait(record)
+        queue = self._queues.get(record.session)
+        if queue is not None:  # else nobody waits for it: drop it
+            queue.put_nowait(record)
 
     async def _reconnect(self) -> bool:
         """Bounded-backoff reconnect + re-attach; whether it succeeded."""
@@ -339,9 +348,8 @@ class ServiceClient:
                 record = await self._read_direct(
                     self._reader, SPAWN_TIMEOUT
                 )
-                if record.session is None and record.kind in (
-                    "done",
-                    "error",
+                if record.session is None and protocol.ends_reply(
+                    record, exec_command=False
                 ):
                     break
                 self._demux(record)
@@ -354,14 +362,13 @@ class ServiceClient:
                 # The session is gone (reaped, drained, or closed):
                 # fail its waiters, keep the rest of the reconnect.
                 self._trackers.pop(sid, None)
-                self._queue_for(sid).put_nowait(_CLOSED)
+                self._queues[sid].put_nowait(_CLOSED)
                 continue
             payload = record.payload or {}
             tracker._note_attach(payload)
 
     def _finalize(self) -> None:
         self._closed = True
-        self._control.put_nowait(_CLOSED)
         for queue in self._queues.values():
             queue.put_nowait(_CLOSED)
         self._ready.set()  # unblock parked senders; they see _closed
@@ -369,12 +376,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Demux plumbing
     # ------------------------------------------------------------------
-
-    def _queue_for(self, session_id: str) -> "asyncio.Queue":
-        queue = self._queues.get(session_id)
-        if queue is None:
-            queue = self._queues[session_id] = asyncio.Queue()
-        return queue
 
     async def _next(
         self, queue: "asyncio.Queue", timeout: Optional[float]
@@ -420,31 +421,79 @@ class ServiceClient:
                 stderr_tail=[],
             ) from error
 
-    async def _control_request(
-        self, line: Optional[str], timeout: float = SPAWN_TIMEOUT
-    ) -> Any:
-        """Send an id-less command (or just await a reply); its payload."""
-        async with self._control_lock:
-            # Capture the queue: a reconnect swaps self._control, and a
-            # waiter must fail fast on its own (pre-drop) queue rather
-            # than silently migrate to the new connection's replies.
-            queue = self._control
-            if line is not None:
-                await self._send_line(line)
-                if queue is not self._control:
-                    queue = self._control  # send parked across a swap
+    async def _request(
+        self,
+        line: str,
+        exec_command: bool = False,
+        timeout: Optional[float] = SPAWN_TIMEOUT,
+        grace: float = INTERRUPT_GRACE,
+        tracker: Optional["AsyncTracker"] = None,
+    ) -> protocol.Record:
+        """Send one command line; the record that ends its reply.
+
+        Reads the queue of the session id ``line`` carries. Earlier
+        records go to ``tracker`` (console output, notifications) or are
+        skipped. When an exec command's ``timeout`` expires the inferior
+        is interrupted; ``ControlTimeout`` follows only if that goes
+        unanswered for ``grace`` seconds.
+        """
+        session = protocol.split_session(line)[0]
+        queue = self._queues.get(session)
+        transient = queue is None
+        if transient:
+            queue = self._queues[session] = asyncio.Queue()
+        try:
+            await self._send_line(line)
+            if session is None:
+                # A send parked across a reconnect awaits the new
+                # connection's control queue; the stale one fails fast.
+                queue = self._queues[None]
+            loop = asyncio.get_event_loop()
+            deadline = None if timeout is None else loop.time() + timeout
+            interrupted = False
             while True:
-                record = await self._next(queue, timeout)
+                wait = None
+                if deadline is not None:
+                    wait = max(deadline - loop.time(), 0.001)
+                record = await self._next(queue, wait)
                 if record is None:
-                    raise ControlTimeout(
-                        "the tracker service did not answer within "
-                        f"{timeout:.2f}s"
+                    if interrupted:
+                        raise ControlTimeout(
+                            f"the inferior did not pause within {timeout}s "
+                            "and the interrupt went unanswered for the "
+                            "grace period"
+                        )
+                    if not exec_command:
+                        raise ControlTimeout(
+                            f"{line} went unanswered for {timeout:.2f}s"
+                        )
+                    interrupted = True
+                    deadline = loop.time() + grace
+                    await self._send_line(
+                        protocol.format_command(
+                            "-exec-interrupt", session=session
+                        )
                     )
-                if record.kind == "done":
-                    return record.payload
-                if record.kind == "error":
-                    raise _typed_error(record.payload)
-                # stream/notify noise on the control channel: skip
+                elif protocol.ends_reply(record, exec_command):
+                    if record.kind == "error":
+                        raise _typed_error(record.payload)
+                    return record
+                elif tracker is not None:
+                    tracker._absorb(record)
+        finally:
+            if transient and self._queues.get(session) is queue:
+                del self._queues[session]
+
+    async def _control_request(
+        self, line: str, timeout: float = SPAWN_TIMEOUT
+    ) -> Any:
+        """An id-less request; its payload.
+
+        Serialized, because id-less replies are attributable only by
+        arrival order.
+        """
+        async with self._control_lock:
+            return (await self._request(line, timeout=timeout)).payload
 
     # ------------------------------------------------------------------
     # Public API
@@ -474,9 +523,8 @@ class ServiceClient:
             timeout=timeout,
         )
         session_id = payload["session"]
-        tracker = AsyncTracker(
-            self, session_id, self._queue_for(session_id)
-        )
+        self._queues[session_id] = asyncio.Queue()
+        tracker = AsyncTracker(self, session_id)
         tracker._pid = payload.get("pid")
         tracker._epoch = payload.get("epoch", 1)
         self._trackers[session_id] = tracker
@@ -519,15 +567,9 @@ class AsyncTracker:
     awaited on the same event loop as the client.
     """
 
-    def __init__(
-        self,
-        client: ServiceClient,
-        session_id: str,
-        queue: "asyncio.Queue",
-    ):
+    def __init__(self, client: ServiceClient, session_id: str):
         self.client = client
         self.session_id = session_id
-        self._queue = queue
         #: everything the inferior printed, in arrival order
         self.console: List[str] = []
         #: async notifications (heap events etc.), in arrival order
@@ -569,18 +611,6 @@ class AsyncTracker:
 
     # -- record plumbing -------------------------------------------------
 
-    async def _send(
-        self,
-        name: str,
-        args: Optional[List[str]] = None,
-        options: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        await self.client._send_line(
-            protocol.format_command(
-                name, args, options, session=self.session_id
-            )
-        )
-
     def _absorb(self, record: protocol.Record) -> None:
         if record.kind == "stream":
             self.console.append(record.payload)
@@ -599,18 +629,13 @@ class AsyncTracker:
         timeout: Optional[float] = SPAWN_TIMEOUT,
     ) -> Any:
         """One synchronous command round trip; the ``^done`` payload."""
-        await self._send(name, args, options)
-        while True:
-            record = await self.client._next(self._queue, timeout)
-            if record is None:
-                raise ControlTimeout(
-                    f"{name} went unanswered for {timeout:.2f}s"
-                )
-            if record.kind == "done":
-                return record.payload
-            if record.kind == "error":
-                raise _typed_error(record.payload)
-            self._absorb(record)
+        line = protocol.format_command(
+            name, args, options, session=self.session_id
+        )
+        record = await self.client._request(
+            line, timeout=timeout, tracker=self
+        )
+        return record.payload
 
     async def _run_control(
         self,
@@ -619,44 +644,18 @@ class AsyncTracker:
         grace: float = INTERRUPT_GRACE,
     ) -> Dict[str, Any]:
         """An exec command: block (asynchronously) until ``*stopped``."""
-        await self._send(name)
-        loop = asyncio.get_event_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-        interrupted_at: Optional[float] = None
-        while True:
-            if interrupted_at is not None:
-                slice_timeout: Optional[float] = (
-                    interrupted_at + grace - loop.time()
-                )
-                if slice_timeout <= 0:
-                    raise ControlTimeout(
-                        f"the inferior did not pause within {timeout}s and "
-                        "the interrupt went unanswered for the grace period"
-                    )
-            elif deadline is not None:
-                slice_timeout = max(deadline - loop.time(), 0.001)
-            else:
-                slice_timeout = None
-            record = await self.client._next(self._queue, slice_timeout)
-            if record is None:
-                if interrupted_at is None:
-                    interrupted_at = loop.time()
-                    await self.interrupt()
-                continue
-            if record.kind == "running":
-                pass  # the dialogue opener; *stopped follows eventually
-            elif record.kind == "stopped":
-                payload = record.payload or {}
-                self._last_stop = payload
-                if payload.get("reason") == "exited":
-                    self._exit_code = payload.get("exitcode")
-                return payload
-            elif record.kind == "error":
-                raise _typed_error(record.payload)
-            elif record.kind == "done":
-                continue  # stale interrupt ack
-            else:
-                self._absorb(record)
+        record = await self.client._request(
+            protocol.format_command(name, session=self.session_id),
+            exec_command=True,
+            timeout=timeout,
+            grace=grace,
+            tracker=self,
+        )
+        payload = record.payload or {}
+        self._last_stop = payload
+        if payload.get("reason") == "exited":
+            self._exit_code = payload.get("exitcode")
+        return payload
 
     async def interrupt(self) -> None:
         """Fire-and-forget: pause the running inferior.
@@ -664,7 +663,11 @@ class AsyncTracker:
         A no-op when nothing runs: the server aims the interrupt at the
         command in flight and drops it once that command has stopped.
         """
-        await self._send("-exec-interrupt")
+        await self.client._send_line(
+            protocol.format_command(
+                "-exec-interrupt", session=self.session_id
+            )
+        )
 
     # -- run control -----------------------------------------------------
 
@@ -770,6 +773,8 @@ class AsyncTracker:
             await self.execute("-session-close")
         except (TrackerError, ServerCrashError, ControlTimeout):
             pass
+        finally:
+            self.client._queues.pop(self.session_id, None)
 
     async def __aenter__(self) -> "AsyncTracker":
         return self

@@ -60,18 +60,6 @@ from repro.mi import protocol
 from repro.service.pool import ChildHandle, WarmPool
 from repro.subproc.limits import ResourceLimits
 
-#: MI commands whose reply is a run-control dialogue (``^running`` then
-#: eventually ``*stopped``) rather than a single ``^done``/``^error``.
-EXEC_COMMANDS = frozenset(
-    [
-        "-exec-run",
-        "-exec-continue",
-        "-exec-step",
-        "-exec-next",
-        "-exec-finish",
-    ]
-)
-
 #: Synchronous commands whose effect lives in the child and must be
 #: replayed, in original order, to rebuild a dead child's state.
 SETUP_COMMANDS = frozenset(
@@ -350,37 +338,24 @@ class Session:
         if command_name == "-exec-run":
             self.started = True
         records: List[str] = []
-        exec_command = command_name in EXEC_COMMANDS
-        while True:
-            raw = await self.child.transport.recv_line(timeout=None)
-            if raw is None:  # pragma: no cover - no timeout in use
-                continue
-            raw = raw.rstrip("\n")
+
+        def forward(raw: str) -> None:
             self.touch()
             records.append(raw)
-            record = protocol.parse_record(raw)
-            if record.kind == "stopped":
-                payload = record.payload or {}
-                reason = payload.get("reason")
-                if reason == "exited":
-                    self.exited = True
-                    self.exit_code = payload.get("exitcode")
-                else:
-                    self._note_pause(reason, body if exec_command else None)
-                self.dialogue_pending = False
-                self._note_healthy()
-                return records
-            if record.kind == "error":
-                self.dialogue_pending = False
-                self._note_healthy()  # an ^error still proves liveness
-                return records
-            if record.kind == "done":
-                if not exec_command:
-                    self.dialogue_pending = False
-                    self._note_completed(command_name, body)
-                    self._note_healthy()
-                    return records
-                # a stale-interrupt ack racing the run; keep reading
+
+        record = await self.child.read_reply(line, None, forward)
+        self.dialogue_pending = False
+        if record.kind == "stopped":
+            payload = record.payload or {}
+            if payload.get("reason") == "exited":
+                self.exited = True
+                self.exit_code = payload.get("exitcode")
+            else:
+                self._note_pause(payload.get("reason"), body)
+        elif record.kind == "done":
+            self._note_completed(command_name, body)
+        self._note_healthy()  # an ^error still proves liveness
+        return records
 
     async def interrupt(self) -> None:
         """Fire-and-forget: pause whatever this session is running.
@@ -401,13 +376,11 @@ class Session:
     # Manifest bookkeeping
     # ------------------------------------------------------------------
 
-    def _note_pause(self, reason: Optional[str], body: Optional[str]) -> None:
+    def _note_pause(self, reason: Optional[str], body: str) -> None:
         manifest = self.manifest
         if manifest is None:
             return
         manifest.pause_index += 1
-        if body is None:
-            return
         if body.split(None, 1)[0] == "-exec-run":
             # A fresh run supersedes the previous run's exec history —
             # control-point installs persist, replay validity recovers.
@@ -503,13 +476,13 @@ class Session:
             self.exited = True
             self.exit_code = code
         reply = self._tombstone_reply(command_name)
-        if command_name not in EXEC_COMMANDS:
+        if command_name not in protocol.EXEC_COMMANDS:
             reply = [self._tag(protocol.format_error(str(error)))]
         return reply
 
     def _tombstone_reply(self, command_name: str) -> List[str]:
         """What a dead session answers, mirroring a dead inferior."""
-        if command_name in EXEC_COMMANDS:
+        if command_name in protocol.EXEC_COMMANDS:
             payload: Dict[str, Any] = {
                 "reason": "exited",
                 "exitcode": self.exit_code,
@@ -901,16 +874,15 @@ class SessionManager:
         degraded = False
         launched = False
         for kind, body in manifest.log:
-            if kind == "setup":
-                await child.request_line(body, timeout=self.replay_timeout)
-                continue
-            if not replay_exec:
+            if kind == "exec" and not replay_exec:
                 degraded = True
                 continue
-            payload = await child.run_line(
+            payload = await child.request_line(
                 body, timeout=self.replay_timeout
             )
-            reason = payload.get("reason")
+            if kind == "setup":
+                continue
+            reason = (payload or {}).get("reason")
             if reason in ("exited", "interrupted"):
                 # The re-execution diverged from the recorded history
                 # (e.g. the program reads wall clock or randomness).

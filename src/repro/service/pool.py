@@ -40,10 +40,10 @@ IDLE_ARGV = [sys.executable, "-m", "repro.subproc.server", "--idle"]
 class ChildHandle:
     """One pooled child server and the request plumbing to drive it.
 
-    Wraps an :class:`AsyncPipeTransport` with record-level send/receive
-    and a simple synchronous-command round trip (the pool and the session
-    binding need ``-server-info`` / ``-file-exec-and-symbols`` /
-    ``-apply-limits``; run-control streaming lives in the session layer).
+    Wraps an :class:`AsyncPipeTransport` with one reply reader,
+    :meth:`read_reply`. The pool, the session binding and the resurrection
+    replay use it through :meth:`request`; the session layer forwards the
+    records of a live dialogue through it.
     """
 
     def __init__(self, transport: AsyncPipeTransport, warm: bool):
@@ -60,12 +60,6 @@ class ChildHandle:
     def alive(self) -> bool:
         return self.transport.alive()
 
-    async def recv_record(
-        self, timeout: Optional[float] = None
-    ) -> Optional[protocol.Record]:
-        line = await self.transport.recv_line(timeout=timeout)
-        return None if line is None else protocol.parse_record(line)
-
     async def request(
         self,
         name: str,
@@ -73,10 +67,12 @@ class ChildHandle:
         options: Optional[Dict[str, Any]] = None,
         timeout: float = PING_TIMEOUT,
     ) -> Any:
-        """One synchronous command round trip; the ``^done`` payload.
+        """One command round trip; the payload of the record ending it.
 
-        Raises ``TrackerError`` on ``^error``, ``ServerCrashError`` when
-        the child dies, ``asyncio.TimeoutError`` when it goes mute.
+        That is the ``^done`` payload, or the ``*stopped`` one for an exec
+        command. Raises ``TrackerError`` on ``^error``,
+        ``ServerCrashError`` when the child dies, ``asyncio.TimeoutError``
+        when it goes mute.
         """
         return await self.request_line(
             protocol.format_command(name, args, options), timeout=timeout
@@ -89,50 +85,54 @@ class ChildHandle:
 
         The session-resurrection replay path uses this: recovery
         manifests store verbatim command bodies, which replay id-less
-        against a fresh child.
+        against a fresh child. Output of the re-executed inferior is
+        discarded (replay must not re-deliver output the client already
+        saw).
         """
         await self.transport.send_line(line)
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError(f"{line} went unanswered")
-            record = await self.recv_record(timeout=remaining)
-            if record is None:
-                continue
-            if record.kind == "done":
-                return record.payload
-            if record.kind == "error":
-                raise TrackerError(str(record.payload))
-            if record.kind in ("stream", "notify"):
-                continue  # stale output from a previous life
-            raise ProtocolError(f"unexpected record {record.kind} for {line}")
+        record = await self.read_reply(line, timeout)
+        if record.kind == "error":
+            raise TrackerError(str(record.payload))
+        return record.payload
 
-    async def run_line(
-        self, line: str, timeout: float = PING_TIMEOUT
-    ) -> Dict[str, Any]:
-        """One exec-command round trip; the ``*stopped`` payload.
+    async def read_reply(
+        self,
+        line: str,
+        timeout: Optional[float] = PING_TIMEOUT,
+        forward: Optional[Callable[[str], None]] = None,
+    ) -> protocol.Record:
+        """Read the reply to ``line``, already sent; return its last record.
 
-        Streams and notifications produced by the re-executed inferior
-        are consumed and discarded (replay must not re-deliver output the
-        client already saw). Raises like :meth:`request`.
+        ``forward`` receives every raw record line, the last included.
+        Without it, stream and notify records (stale output from a
+        previous life) and the rest of a run are skipped, and any other
+        record in a synchronous reply is a ``ProtocolError``.
         """
-        await self.transport.send_line(line)
+        command = protocol.split_session(line)[1].split(None, 1)[0]
+        exec_command = command in protocol.EXEC_COMMANDS
         loop = asyncio.get_event_loop()
-        deadline = loop.time() + timeout
+        deadline = None if timeout is None else loop.time() + timeout
         while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError(f"{line} went unanswered")
-            record = await self.recv_record(timeout=remaining)
-            if record is None:
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    raise asyncio.TimeoutError(f"{line} went unanswered")
+            raw = await self.transport.recv_line(timeout=remaining)
+            if raw is None:
                 continue
-            if record.kind == "stopped":
-                return record.payload or {}
-            if record.kind == "error":
-                raise TrackerError(str(record.payload))
-            # running / done (stale ack) / stream / notify: keep reading
+            record = protocol.parse_record(raw)
+            if forward is not None:
+                forward(raw.rstrip("\n"))
+            if protocol.ends_reply(record, exec_command):
+                return record
+            if forward is None and not exec_command and record.kind not in (
+                "stream",
+                "notify",
+            ):
+                raise ProtocolError(
+                    f"unexpected record {record.kind} for {line}"
+                )
 
     async def close(self, graceful_exit: bool = True) -> None:
         await self.transport.close(graceful_exit=graceful_exit)
@@ -179,15 +179,16 @@ class WarmPool:
 
     async def _spawn_child(self, warm: bool) -> ChildHandle:
         transport = await self._spawn_transport(self._spawn_argv)
-        child = ChildHandle(transport, warm=warm)
-        greeting = await child.recv_record(timeout=SPAWN_TIMEOUT)
-        if greeting is None or greeting.kind != "done":
-            await child.close(graceful_exit=False)
-            raise TrackerError(
-                f"pool child refused to start: {greeting!r}"
-            )
+        try:
+            line = await transport.recv_line(timeout=SPAWN_TIMEOUT)
+            if line is None or protocol.parse_record(line).kind != "done":
+                raise TrackerError(f"pool child refused to start: {line!r}")
+        except BaseException:
+            # Cancellation included: close() cancels a refill right here.
+            await transport.close(graceful_exit=False)
+            raise
         self.stats["spawned"] += 1
-        return child
+        return ChildHandle(transport, warm=warm)
 
     async def start(self) -> None:
         """Fill the shelf to ``size`` (spawns happen concurrently)."""

@@ -37,7 +37,7 @@ from repro.core.supervision import (
     BackoffPolicy,
     SupervisionEvent,
 )
-from repro.mi.client import PipeTransport
+from repro.mi.transport import PipeTransport
 from repro.mi.remote import MIRemoteTracker
 from repro.subproc.limits import ResourceLimits
 

@@ -61,7 +61,7 @@ from repro.core.supervision import (
     INFERIOR_INTERRUPTED,
     SupervisionEvent,
 )
-from repro.mi.client import PipeTransport, _default_transport_factory
+from repro.mi.transport import PipeTransport, default_transport_factory
 
 #: A mini-C inferior that never pauses on its own (for deadline tests).
 NEVER_PAUSING_C = """\
@@ -213,7 +213,7 @@ class FaultHarness:
         self, program: str, args: Optional[List[str]] = None
     ) -> Callable[[], FaultyTransport]:
         """A zero-arg factory for :class:`MIClient` / :class:`GDBTracker`."""
-        build_inner = _default_transport_factory(program, list(args or []))
+        build_inner = default_transport_factory(program, list(args or []))
 
         def build() -> FaultyTransport:
             return FaultyTransport(build_inner(), self.plan, self._note_injected)

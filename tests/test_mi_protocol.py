@@ -95,6 +95,29 @@ class TestRecords:
             protocol.parse_record("hello world")
 
 
+class TestReplyEnd:
+    """One rule decides which record ends a command's reply."""
+
+    @pytest.mark.parametrize(
+        "line, exec_command, ends",
+        [
+            ('^error,msg="boom"', False, True),
+            ('^error,msg="boom"', True, True),
+            ("^done", False, True),
+            ("^done", True, False),  # a stale interrupt ack mid-run
+            ('*stopped,{"reason":"exited"}', True, True),
+            ('*stopped,{"reason":"exited"}', False, False),
+            ("^running", True, False),
+            ('~"out"', True, False),
+            ('=heap-alloc,{"address":16}', False, False),
+            ('s1^done', False, True),
+        ],
+    )
+    def test_ends_reply(self, line, exec_command, ends):
+        record = protocol.parse_record(line)
+        assert protocol.ends_reply(record, exec_command) is ends
+
+
 # ---------------------------------------------------------------------------
 # Property-based round trips
 # ---------------------------------------------------------------------------

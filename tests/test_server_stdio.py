@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.mi.protocol import parse_record
+from repro.mi.transport import PipeTransport
 
 SPIN_C = """\
 int main(void) {
@@ -114,6 +115,24 @@ def test_sigint_alone_interrupts_the_running_command(spinning):
     assert spinning.stop(timeout=1)["reason"] == "interrupted"
     spinning.send("-exec-step")
     assert spinning.stop()["reason"] == "end-stepping-range"
+
+
+#: A child that echoes its stdin and keeps Python's default SIGINT
+#: handler, so a signal would kill it with ``KeyboardInterrupt``.
+ECHO_CHILD = "import sys\nfor line in sys.stdin:\n    print(line.strip(), flush=True)\n"
+
+
+def test_client_interrupt_is_one_line_and_no_signal():
+    """``PipeTransport.interrupt`` crosses the pipe once, as a line."""
+    transport = PipeTransport([sys.executable, "-c", ECHO_CHILD])
+    try:
+        transport.interrupt()
+        assert transport.recv_line(timeout=10).strip() == "-exec-interrupt"
+        transport.send_line("ping")
+        assert transport.recv_line(timeout=10).strip() == "ping"
+        assert transport.alive()
+    finally:
+        transport.close(graceful_exit=False)
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

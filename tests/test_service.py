@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.errors import ServerCrashError, TrackerError
 from repro.mi import protocol
-from repro.mi.client import MIClient, PipeTransport
+from repro.mi.client import MIClient
+from repro.mi.transport import AsyncPipeTransport, PipeTransport
 from repro.service import (
     ProgramQuarantined,
     ServiceAuthError,
@@ -220,6 +221,35 @@ class TestWarmPool:
         assert idle == 2
         assert stats["spawned"] >= 4  # 2 initial + 2 refills
 
+    def test_close_kills_a_child_still_starting(self):
+        """close() cancels a refill that awaits a greeting; the half-born
+        child must die with it, not outlive the pool."""
+        slow_child = "import time; time.sleep(3); print('^done', flush=True)"
+        spawned = []
+
+        async def spawner(argv):
+            transport = await AsyncPipeTransport.spawn(argv)
+            spawned.append(transport)
+            return transport
+
+        async def scenario():
+            pool = WarmPool(
+                size=1,
+                spawn_argv=[sys.executable, "-c", slow_child],
+                transport_spawner=spawner,
+            )
+            pool._schedule_refill()
+            for _ in range(100):
+                if spawned:
+                    break
+                await asyncio.sleep(0.02)
+            await pool.close()
+            alive = spawned[0].alive()
+            await spawned[0].close(graceful_exit=False)
+            return alive
+
+        assert run(scenario()) is False
+
     def test_empty_shelf_falls_back_to_cold_spawn(self):
         async def scenario():
             pool = WarmPool(size=0)  # warming disabled
@@ -416,17 +446,62 @@ class TestServiceEndToEnd:
                     stats = await client.service_stats()
                     assert stats["open_sessions"] == 1
                     assert stats["pool"]["spawned"] >= 1
-                    with pytest.raises(TrackerError):
-                        await client._control_request(
-                            "ghost-exec-run", timeout=10
+                    # The reply to an unknown session id reaches the
+                    # caller at once, as the exact error the service sent.
+                    loop = asyncio.get_event_loop()
+                    started = loop.time()
+                    with pytest.raises(
+                        TrackerError, match="no session 'ghost'"
+                    ) as refused:
+                        await client._request(
+                            "ghost-exec-run", exec_command=True, timeout=10
                         )
+                    assert loop.time() - started < 1.0
+                    assert type(refused.value) is TrackerError
+                    assert "ghost" not in client._queues
                     await tracker.close()
                     stats = await client.service_stats()
                     assert stats["open_sessions"] == 0
+                    assert list(client._queues) == [None]
             finally:
                 await service.close()
 
         run(scenario())
+
+    def test_reader_drops_records_for_sessions_it_never_opened(self):
+        """A session-tagged record nobody waits for creates no queue."""
+
+        async def serve(reader, writer):
+            writer.write(b'^done,{"service":"stub"}\n')
+            writer.write(b'phantom~"stray output"\n')
+            writer.write(b'phantom*stopped,{"reason":"exited"}\n')
+            await reader.readline()  # -service-stats
+            writer.write(b'^done,{"open_sessions":0}\n')
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                client = await ServiceClient.connect(
+                    host, port, reconnect=None
+                )
+                try:
+                    # the reply follows the stray records on the wire,
+                    # so the reader has filed (or dropped) them by now
+                    stats = await client.service_stats()
+                    return stats, list(client._queues)
+                finally:
+                    await client.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        stats, queues = run(scenario())
+        assert stats == {"open_sessions": 0}
+        assert queues == [None]
 
     def test_eight_concurrent_sessions_smoke(self, write_program):
         """The CI smoke contract: 8 sessions, breakpoint + resume each,
@@ -698,8 +773,11 @@ class TestResurrection:
                     await asyncio.sleep(0.2)
                     # the in-flight command terminates (here: the fresh
                     # child refuses to continue a never-started inferior)
-                    with pytest.raises(TrackerError):
+                    with pytest.raises(
+                        TrackerError, match="has not been started"
+                    ) as refused:
                         await tracker.step()
+                    assert type(refused.value) is TrackerError
                     assert tracker.resurrections == 1
                     assert tracker.degraded is True
                     # a fresh run un-degrades the session

@@ -150,8 +150,11 @@ class TestTlsConfigValidation:
             service = TrackerService(
                 ServiceConfig(pool_size=1, port=0, tls_cert=str(cert))
             )
-            with pytest.raises(TrackerError):
+            with pytest.raises(
+                TrackerError, match="needs both a certificate and a key"
+            ) as refused:
                 await service.start()
+            assert type(refused.value) is TrackerError
             await service.close()
 
         run(scenario())
@@ -166,8 +169,11 @@ class TestTlsConfigValidation:
                     tls_key=str(tmp_path / "missing.key"),
                 )
             )
-            with pytest.raises(TrackerError):
+            with pytest.raises(
+                TrackerError, match="cannot load TLS certificate"
+            ) as refused:
                 await service.start()
+            assert type(refused.value) is TrackerError
             await service.close()
 
         run(scenario())

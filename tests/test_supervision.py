@@ -39,7 +39,8 @@ from repro.core.supervision import (
     run_with_recovery,
 )
 from repro.gdbtracker.tracker import GDBTracker
-from repro.mi.client import MIClient, PipeTransport
+from repro.mi.client import MIClient
+from repro.mi.transport import PipeTransport
 from repro.pytracker.tracker import PythonTracker
 from repro.testing.faults import (
     NEVER_PAUSING_C,
